@@ -1,7 +1,9 @@
 // Fleet-scale engine bench (not a paper figure): the arena-backed SoA slot
 // engine at 100 / 1000 / 10000 edges x 160 slots, serial vs pooled
 // edge-sharded execution, on the "Ours" combo (SoA BlockedTsallisINF fleet
-// + online carbon trader).
+// + online carbon trader). The serial engine presolves each slot's OMD
+// steps in one cross-edge batch; the pooled one solves them inside its
+// shards, so the bit-identity gate also pins the two solve paths.
 //
 // Three properties are *gated*, not just measured (nonzero exit on
 // violation, so the bench_smoke ctest label and CI catch regressions):

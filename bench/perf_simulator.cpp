@@ -1,26 +1,22 @@
 // Perf bench for the simulation engine itself (not a paper figure): slots
 // per second of Simulator::run with the "Ours" combo on the fig03 scenario
 // (seed-42 parametric environment, T=160, loss_draw_cap=256) at 10/50/200
-// edges, in three engine modes:
+// edges, in two engine modes:
 //
-//   serial_persample — the original engine's cost profile: one
-//                      LossProfile::draw() per streamed sample from a
-//                      shared RNG stream (SimOptions::per_sample_draws);
 //   serial_batched   — LossProfile::draw_batch with per-(edge,slot)
-//                      streams, single thread (the default engine);
-//   parallel_batched — the same plus per-edge fan-out over the global
-//                      thread pool (CEA_BENCH_THREADS sizes it).
+//                      streams and the cross-edge OMD presolve, single
+//                      thread (the default engine);
+//   parallel_batched — per-edge fan-out over the global thread pool
+//                      (CEA_BENCH_THREADS sizes it), OMD solves inside
+//                      the shards.
 //
-// All three produce valid RunResults; batched serial and batched parallel
-// are bit-identical (tests/sim/test_parallel.cpp). Results are mirrored to
-// bench_out/perf_simulator.json (mode, edges, slots_per_sec — the one
-// baseline format every perf bench emits) so the perf trajectory can be
-// tracked across PRs, and the headline parallel-vs-persample speedup at 50
-// edges is printed at the end.
+// The two are bit-identical (tests/sim/test_parallel.cpp). Results are
+// mirrored to bench_out/perf_simulator.json (mode, edges, slots_per_sec —
+// the one baseline format every perf bench emits) so the perf trajectory
+// can be tracked across PRs.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -36,11 +32,10 @@ namespace {
 
 using namespace cea;
 
-enum class Mode { kSerialPerSample, kSerialBatched, kParallelBatched };
+enum class Mode { kSerialBatched, kParallelBatched };
 
 const char* mode_name(Mode mode) {
   switch (mode) {
-    case Mode::kSerialPerSample: return "serial_persample";
     case Mode::kSerialBatched: return "serial_batched";
     case Mode::kParallelBatched: return "parallel_batched";
   }
@@ -70,7 +65,6 @@ void run_engine_benchmark(benchmark::State& state, Mode mode) {
   const sim::AlgorithmCombo combo = sim::ours_combo();
 
   sim::SimOptions options;
-  options.per_sample_draws = (mode == Mode::kSerialPerSample);
   if (mode == Mode::kParallelBatched)
     options.pool = &util::ThreadPool::global();
   const sim::Simulator simulator(env, options);
@@ -89,9 +83,6 @@ void run_engine_benchmark(benchmark::State& state, Mode mode) {
                  std::to_string(edges) + " edges");
 }
 
-void BM_SerialPerSample(benchmark::State& state) {
-  run_engine_benchmark(state, Mode::kSerialPerSample);
-}
 void BM_SerialBatched(benchmark::State& state) {
   run_engine_benchmark(state, Mode::kSerialBatched);
 }
@@ -101,15 +92,13 @@ void BM_ParallelBatched(benchmark::State& state) {
 
 // UseRealTime: rate counters divide by wall time, the honest throughput
 // metric for the parallel mode (CPU time would only see the main thread).
-BENCHMARK(BM_SerialPerSample)->Arg(10)->Arg(50)->Arg(200)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_SerialBatched)->Arg(10)->Arg(50)->Arg(200)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_ParallelBatched)->Arg(10)->Arg(50)->Arg(200)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Console reporter that additionally captures (name, slots_per_sec) rows
-/// for the CSV mirror.
+/// for the JSON mirror.
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
   struct Row {
@@ -139,9 +128,7 @@ class CapturingReporter : public benchmark::ConsoleReporter {
 /// "BM_SerialBatched/50/real_time" -> {"serial_batched", "50"}.
 std::pair<std::string, std::string> parse_name(std::string name) {
   std::string mode = "?";
-  if (name.find("SerialPerSample") != std::string::npos)
-    mode = "serial_persample";
-  else if (name.find("SerialBatched") != std::string::npos)
+  if (name.find("SerialBatched") != std::string::npos)
     mode = "serial_batched";
   else if (name.find("ParallelBatched") != std::string::npos)
     mode = "parallel_batched";
@@ -175,22 +162,6 @@ int main(int argc, char** argv) {
   }
 
   std::filesystem::create_directories("bench_out");
-  double persample_50 = 0.0, parallel_50 = 0.0, batched_50 = 0.0;
-  for (const auto& [mode, edges] : order) {
-    const auto& [total, count] = sums.at({mode, edges});
-    const double mean = total / static_cast<double>(count);
-    if (edges == "50") {
-      if (mode == "serial_persample") persample_50 = mean;
-      if (mode == "serial_batched") batched_50 = mean;
-      if (mode == "parallel_batched") parallel_50 = mean;
-    }
-  }
-  if (persample_50 > 0.0) {
-    std::printf("\n50-edge speedup vs per-sample engine: batched %.2fx, "
-                "batched+parallel %.2fx (target >= 5x)\n",
-                batched_50 / persample_50, parallel_50 / persample_50);
-  }
-
   // The one checked-in baseline format: JSON rows with run provenance.
   {
     const double wall =

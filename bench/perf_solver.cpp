@@ -3,11 +3,12 @@
 // Two families of measurements:
 //
 //   newton/*  — the Tsallis-INF OMD inner solve across a fleet of edges,
-//               comparing the historical per-edge scalar loop (one
-//               tsallis_probabilities_into call per edge, exactly what
-//               SimOptions::cross_edge_batch_solve = false runs) against
-//               TsallisBatchSolver on each kernel variant the machine
-//               supports, at 100 / 1000 / 10000 edges;
+//               comparing the per-edge scalar loop (one
+//               tsallis_probabilities_into call per edge, what a pooled
+//               engine's shards run) against TsallisBatchSolver (what a
+//               serial engine's presolve runs) on each kernel variant the
+//               machine supports — scalar, and AVX2 where available — at
+//               100 / 1000 / 10000 edges;
 //   simplex/* — offline-trading-shaped LPs through the arena-backed
 //               LpSolver, reporting pivots/sec and certifying the
 //               zero-allocation steady state: after the warmup solve the
@@ -52,7 +53,7 @@ bool smoke_mode() { return std::getenv("CEA_BENCH_SMOKE") != nullptr; }
 
 // ----------------------------------------------------------- newton/*
 
-/// One staged OMD solve, as the simulator's pre-solve pass stages them.
+/// One staged OMD solve, as a serial engine's presolve pass stages them.
 struct SolveRequest {
   std::vector<double> losses;
   double eta = 1.0;
@@ -134,8 +135,6 @@ std::vector<BatchMode> available_batch_modes() {
       {"batch_scalar", TsallisBatchVariant::kScalar}};
   if (util::have_avx2())
     modes.push_back({"batch_avx2", TsallisBatchVariant::kAvx2});
-  if (util::have_avx512())
-    modes.push_back({"batch_avx512", TsallisBatchVariant::kAvx512});
   return modes;
 }
 
@@ -246,7 +245,6 @@ const char* variant_name(TsallisBatchVariant variant) {
   switch (variant) {
     case TsallisBatchVariant::kScalar: return "scalar";
     case TsallisBatchVariant::kAvx2: return "avx2";
-    case TsallisBatchVariant::kAvx512: return "avx512";
   }
   return "?";
 }

@@ -1,16 +1,25 @@
-// Edge-fleet scenario: drives the CarbonNeutralController facade directly
-// through the per-slot protocol of Fig. 2 — the integration surface a
-// production deployment would use (the simulator is bypassed on purpose to
-// demonstrate the public API).
+// Edge-fleet scenario: drives sim::SlotEngine, the one implementation of
+// the per-slot protocol of Fig. 2, slot by slot through its split-phase
+// API — the integration surface the serving daemon uses. begin_slot hands
+// the slot's price quote to Algorithm 2 and returns its trade decision;
+// finish_slot has every edge's Algorithm 1 policy pick a model, streams
+// the slot's samples through it, feeds the losses back, and settles the
+// allowance ledger and the trader.
 //
 // A fleet of heterogeneous edges serves diurnal workloads; the controller
 // learns the best model per edge while trading allowances online.
+#include <cstdint>
 #include <cstdio>
-#include <vector>
+#include <memory>
+#include <string>
+#include <utility>
 
-#include "core/controller.h"
+#include "core/blocked_tsallis_fleet.h"
+#include "core/carbon_trader.h"
 #include "core/regret.h"
 #include "sim/environment.h"
+#include "sim/simulator.h"
+#include "sim/slot_engine.h"
 #include "util/table.h"
 
 int main() {
@@ -21,96 +30,59 @@ int main() {
   config.seed = 7;
   const auto env = sim::Environment::make_parametric(config);
 
-  // Wire the controller from the environment's static facts.
-  std::vector<bandit::PolicyContext> edge_contexts(env.num_edges());
-  for (std::size_t i = 0; i < env.num_edges(); ++i) {
-    edge_contexts[i].num_models = env.num_models();
-    edge_contexts[i].switching_cost = env.switching_cost(i);
-    edge_contexts[i].seed = 1000 + i;
-    edge_contexts[i].horizon = env.horizon();
-  }
-  trading::TraderContext trader_context;
-  trader_context.horizon = env.horizon();
-  trader_context.carbon_cap = config.carbon_cap;
-  trader_context.max_trade_per_slot = config.max_trade_per_slot;
-
-  core::CarbonNeutralController controller(std::move(edge_contexts),
-                                           trader_context);
-
-  Rng draw_rng(99);
-  std::vector<std::size_t> prev(env.num_edges(), SIZE_MAX);
-  std::vector<double> emissions, buys, sells;
-  double total_cost = 0.0;
-  std::size_t switches = 0;
+  // The "Ours" pair — the SoA Algorithm 1 fleet and the Algorithm 2
+  // trader — built from the contexts a Simulator run would hand them.
+  constexpr std::uint64_t kRunSeed = 99;
+  const sim::Simulator simulator(env);
+  auto fleet = std::make_unique<core::BlockedTsallisFleetPolicy>(
+      simulator.fleet_policy_context(kRunSeed));
+  auto trader = std::make_unique<core::OnlineCarbonTrader>(
+      simulator.trader_context(kRunSeed), core::OnlineTraderConfig{});
+  // The engine owns both; keep read-only views for the report.
+  const core::BlockedTsallisFleetPolicy& policy = *fleet;
+  const core::OnlineCarbonTrader& carbon_trader = *trader;
+  sim::SlotEngine engine(env, sim::SimOptions{}, std::move(fleet),
+                         std::move(trader), kRunSeed, "Ours");
 
   for (std::size_t t = 0; t < env.horizon(); ++t) {
-    // Step 1: model placement for every edge.
-    const auto models = controller.select_models(t);
-    // Step 2: trading decision for the slot.
+    // Step 1: the slot's market quote; Algorithm 2 decides the trade.
     const trading::TradeObservation quote{env.prices().buy[t],
                                           env.prices().sell[t]};
-    const auto trade = controller.decide_trade(t, quote);
-
-    double energy_kwh = 0.0;
-    for (std::size_t i = 0; i < env.num_edges(); ++i) {
-      const auto n = models[i];
-      if (n != prev[i]) {
-        total_cost += env.switching_cost(i);
-        energy_kwh += env.transfer_energy(i, n);
-        ++switches;
-      }
-      prev[i] = n;
-
-      // Steps 2.1-2.3: stream the slot's samples through the hosted model
-      // (the empirical loss profile plays the role of real inference here;
-      // see nn_inference_demo for live neural-network inference).
-      const auto arrivals = static_cast<std::size_t>(env.workload()[i][t]);
-      const std::size_t draws = std::min<std::size_t>(arrivals, 256);
-      double loss_sum = 0.0;
-      for (std::size_t d = 0; d < draws; ++d)
-        loss_sum += env.models()[n].profile.draw(draw_rng).loss;
-      const double avg_loss =
-          draws > 0 ? loss_sum / static_cast<double>(draws) : 0.0;
-
-      // Steps 3-4: feed the observed loss back into the bandit.
-      controller.report_inference(t, i, n,
-                                  avg_loss + env.computation_cost(i, n));
-      total_cost +=
-          env.models()[n].profile.mean_loss() + env.computation_cost(i, n);
-      energy_kwh +=
-          env.models()[n].energy_per_sample * static_cast<double>(arrivals);
-    }
-
-    const double emission = config.emission_rate * energy_kwh;
-    controller.report_slot(t, emission, quote, trade);
-    total_cost += trade.cost(quote);
-    emissions.push_back(emission);
-    buys.push_back(trade.buy);
-    sells.push_back(trade.sell);
+    const trading::TradeDecision trade = engine.begin_slot(quote);
+    // Steps 2-4: model placement, inference over the slot's arrivals (the
+    // environment's workload trace; the empirical loss profiles play the
+    // role of real inference — see nn_inference_demo for live networks),
+    // bandit feedback, and the ledger and dual updates.
+    engine.finish_slot(quote, trade, nullptr);
   }
+  const sim::RunResult& result = engine.result();
 
   std::printf("Fleet of %zu edges over %zu slots\n", env.num_edges(),
               env.horizon());
-  std::printf("  total cost        : %.1f\n", total_cost);
-  std::printf("  model switches    : %zu (%.2f per edge)\n", switches,
-              static_cast<double>(switches) /
+  std::printf("  total cost        : %.1f\n", result.total_cost());
+  // A switch replaces a hosted model; the initial t = 0 downloads cost
+  // transfer energy but are not switches.
+  std::printf("  model switches    : %zu (%.2f per edge)\n",
+              result.total_switches,
+              static_cast<double>(result.total_switches) /
                   static_cast<double>(env.num_edges()));
   std::printf("  carbon fit        : %.2f units uncovered\n",
-              core::fit(emissions, buys, sells, config.carbon_cap));
+              core::fit(result.emissions, result.buys, result.sells,
+                        config.carbon_cap));
   std::printf("  final dual lambda : %.3f (cent/unit carbon pressure)\n\n",
-              controller.trader().lambda());
+              carbon_trader.lambda());
 
   Table table({"edge", "u_i", "best model (hindsight)", "hosted most",
                "late-horizon prob"});
   for (std::size_t i = 0; i < env.num_edges(); ++i) {
-    const auto& policy = controller.edge_policy(i);
-    const auto& probs = policy.current_probabilities();
+    const auto& counts = result.selection_counts[i];
     std::size_t hosted = 0;
-    for (std::size_t n = 1; n < probs.size(); ++n)
-      if (probs[n] > probs[hosted]) hosted = n;
+    for (std::size_t n = 1; n < counts.size(); ++n)
+      if (counts[n] > counts[hosted]) hosted = n;
     table.add_row({std::to_string(i), fmt(env.switching_cost(i), 2),
                    env.models()[env.best_model(i)].name,
-                   env.models()[hosted].name, fmt(probs[hosted], 3)});
+                   env.models()[hosted].name,
+                   fmt(policy.probabilities(i)[hosted], 3)});
   }
   table.print();
   return 0;

@@ -11,7 +11,8 @@
 // Concurrency contract: select()/feedback() for *different* edges may run
 // concurrently (each edge's state is written only by the shard that owns
 // it); calls for the same edge are always sequenced by the simulator.
-// next_solve()/accept_presolve() run serially before the edge fan-out.
+// next_solve()/accept_presolve() run only in a serial engine, before its
+// edge loop; a pooled engine leaves every solve to select().
 
 #include <cstdint>
 #include <functional>
@@ -64,7 +65,8 @@ class FleetPolicy {
                         double loss) = 0;
 
   /// Cross-edge batch solving (see bandit::TsallisBatchSolvable — same
-  /// contract, indexed by edge). Default: no batchable solves.
+  /// contract, indexed by edge; serial engines only). Default: no
+  /// batchable solves.
   virtual bool next_solve(std::size_t edge, TsallisSolveRequest& out) {
     (void)edge;
     (void)out;

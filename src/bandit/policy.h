@@ -79,10 +79,11 @@ struct TsallisSolveRequest {
 /// Opt-in side interface for policies whose next select(t) may run a
 /// Tsallis-INF OMD solve that is already fully determined at the start of
 /// the slot — i.e. before any edge's select/feedback of that slot runs.
-/// The simulator probes every policy for this interface and, when its
-/// cross_edge_batch_solve option is on, gathers all pending solves into
+/// The simulator probes every policy for this interface and, in a serial
+/// engine (SimOptions::pool == nullptr), gathers all pending solves into
 /// one TsallisBatchSolver call (SIMD lanes across edges) before the edge
-/// fan-out. The batch solver is bit-identical to the scalar path, so a
+/// loop; a pooled engine never calls it, and each policy solves inside its
+/// shard. The batch solver is bit-identical to the scalar path, so a
 /// policy sees exactly the probabilities and warm-start it would have
 /// computed itself.
 ///

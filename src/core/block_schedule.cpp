@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "obs/telemetry.h"
+
 namespace cea::core {
 
 BlockSchedule::BlockSchedule(double switching_cost, std::size_t num_models)
@@ -39,6 +41,23 @@ std::size_t BlockSchedule::blocks_for_horizon(
     covered += block_length(k);
   }
   return k;
+}
+
+void record_block_start(std::size_t block_length) {
+#if defined(CEA_TELEMETRY)
+  if (!obs::detail_enabled()) return;
+  // |B_{i,k}| grows like sqrt(k), so the length distribution shows how far
+  // into the schedule a run got.
+  static const double kLengthEdges[] = {1,  2,  4,  8,   16,  32,
+                                        64, 128, 256, 512, 1024};
+  static const obs::MetricId obs_length =
+      obs::histogram("bandit.block_length", kLengthEdges);
+  obs::observe(obs_length, static_cast<double>(block_length));
+  static const obs::MetricId obs_blocks = obs::counter("bandit.blocks");
+  obs::add(obs_blocks);
+#else
+  (void)block_length;
+#endif
 }
 
 double BlockSchedule::block_count_bound(std::size_t horizon) const noexcept {

@@ -47,4 +47,11 @@ class BlockSchedule {
   std::size_t num_models_;
 };
 
+/// Block-schedule telemetry shared by both Algorithm 1 implementations
+/// (BlockedTsallisInfPolicy and BlockedTsallisFleetPolicy), called once per
+/// started block: under obs::detail_enabled() it counts the block
+/// (`bandit.blocks`) and records its length |B_{i,k}|
+/// (`bandit.block_length`). Observational only.
+void record_block_start(std::size_t block_length);
+
 }  // namespace cea::core

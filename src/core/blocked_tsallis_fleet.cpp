@@ -67,6 +67,7 @@ void BlockedTsallisFleetPolicy::start_block(std::size_t edge) {
       static_cast<std::uint32_t>(schedule_[edge].block_length(k));
   block_loss_[edge] = 0.0;
   block_open_[edge] = 1;
+  record_block_start(slots_left_[edge]);
 }
 
 void BlockedTsallisFleetPolicy::finish_block(std::size_t edge) {

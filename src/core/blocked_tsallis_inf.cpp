@@ -5,7 +5,6 @@
 #include <cmath>
 #include <memory>
 
-#include "obs/telemetry.h"
 #include "opt/tsallis_step.h"
 #include "util/check.h"
 #include "util/state_io.h"
@@ -47,19 +46,7 @@ void BlockedTsallisInfPolicy::start_block() {
   slots_left_ = schedule_.block_length(k);
   block_loss_ = 0.0;
   block_open_ = true;
-#if defined(CEA_TELEMETRY)
-  if (obs::detail_enabled()) {
-    // Block schedule telemetry: |B_{i,k}| grows like sqrt(k), so the
-    // length distribution shows how far into the schedule a run got.
-    static const double kLengthEdges[] = {1,  2,  4,  8,   16,  32,
-                                          64, 128, 256, 512, 1024};
-    static const obs::MetricId obs_length =
-        obs::histogram("bandit.block_length", kLengthEdges);
-    obs::observe(obs_length, static_cast<double>(slots_left_));
-    static const obs::MetricId obs_blocks = obs::counter("bandit.blocks");
-    obs::add(obs_blocks);
-  }
-#endif
+  record_block_start(slots_left_);
 }
 
 void BlockedTsallisInfPolicy::finish_block() {

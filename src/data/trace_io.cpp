@@ -115,17 +115,22 @@ PriceSeries load_prices_csv(const std::string& path, double sell_ratio) {
                                "' at line " + std::to_string(line_number));
     }
     first_data_line = false;
-    if (buy <= 0.0) {
-      throw std::runtime_error("load_prices_csv: non-positive price at line " +
-                               std::to_string(line_number));
+    // parse_double accepts "nan" and "inf" (so a leading "nan" row is data,
+    // not a header), and a NaN fails none of the ordered comparisons, so
+    // finiteness is checked explicitly.
+    if (!std::isfinite(buy) || buy <= 0.0) {
+      throw std::runtime_error(
+          "load_prices_csv: non-positive or non-finite price at line " +
+          std::to_string(line_number));
     }
     double sell = buy * sell_ratio;
     if (cells.size() >= 2 && !cells[1].empty()) {
-      if (!parse_double(cells[1], sell) || sell <= 0.0 || sell > buy) {
+      if (!parse_double(cells[1], sell) || !std::isfinite(sell) ||
+          sell <= 0.0 || sell > buy) {
         throw std::runtime_error(
             "load_prices_csv: bad sell price at line " +
             std::to_string(line_number) +
-            " (must be positive and <= buy price)");
+            " (must be finite, positive and <= buy price)");
       }
     }
     series.buy.push_back(buy);

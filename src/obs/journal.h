@@ -50,7 +50,9 @@ struct JournalRecord {
   /// Edges that selected each model this slot (size = model count).
   std::vector<std::uint64_t> model_counts;
   std::uint64_t switches_total = 0;   ///< cumulative switches after the slot
-  std::uint64_t solver_lanes = 0;     ///< batched Tsallis solves this slot
+  /// Reserved, always 0 in new records (sim::SlotObservation::solver_lanes);
+  /// still parsed so existing v1 segments stay readable.
+  std::uint64_t solver_lanes = 0;
   std::uint64_t arena_overflows = 0;  ///< cumulative (0 certifies the slot path)
   double trader_dual = 0.0;  ///< lambda after feedback; NaN when stateless
   double buy = 0.0, sell = 0.0;            ///< executed z^t, w^t

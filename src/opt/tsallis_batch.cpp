@@ -65,8 +65,6 @@ struct KernelInfo {
 KernelInfo kernel_for(TsallisBatchVariant variant) noexcept {
   switch (variant) {
 #if defined(__x86_64__)
-    case TsallisBatchVariant::kAvx512:
-      return {tsallis_detail::kAvx512Width, &tsallis_detail::newton_batch_avx512};
     case TsallisBatchVariant::kAvx2:
       return {tsallis_detail::kAvx2Width, &tsallis_detail::newton_batch_avx2};
 #endif
@@ -79,7 +77,6 @@ KernelInfo kernel_for(TsallisBatchVariant variant) noexcept {
 }  // namespace
 
 TsallisBatchVariant tsallis_batch_active_variant() noexcept {
-  if (util::have_avx512()) return TsallisBatchVariant::kAvx512;
   if (util::have_avx2()) return TsallisBatchVariant::kAvx2;
   return TsallisBatchVariant::kScalar;
 }

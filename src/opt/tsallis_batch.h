@@ -2,12 +2,14 @@
 
 // Batched cross-edge solver for the Tsallis-INF OMD step: many
 // independent tsallis_probabilities_into solves (one per edge, staged by
-// the simulator before a slot's edge fan-out) iterate Newton together,
+// a serial slot engine before its edge loop; see sim::SimOptions::pool)
+// iterate Newton together,
 // one solve per SIMD lane with per-lane convergence masks. Mirrors the
-// nn/gemm dispatch idiom: a scalar lane kernel defines the semantics,
-// the AVX2/AVX-512 kernels live in their own -m-flagged TUs
-// (tsallis_batch_avx2.cpp / tsallis_batch_avx512.cpp) behind
-// util::have_avx2/have_avx512 checks.
+// nn/gemm dispatch idiom: a scalar lane kernel defines the semantics
+// and is the path on hosts without AVX2; the AVX2 kernel lives in its
+// own -m-flagged TU (tsallis_batch_avx2.cpp) behind util::have_avx2.
+// AVX2 is the widest kernel: on an AVX-512 host an 8-lane kernel
+// measured no faster than it at any fleet size (DESIGN.md section 9).
 //
 // Bit-identity contract (tests/opt/test_tsallis_batch.cpp): for every
 // request, probabilities() and scaled_lambda_warm() equal — bit for bit —
@@ -24,7 +26,7 @@
 namespace cea {
 
 /// Kernel variant, in dispatch-preference order.
-enum class TsallisBatchVariant { kScalar, kAvx2, kAvx512 };
+enum class TsallisBatchVariant { kScalar, kAvx2 };
 
 /// Variant solve() dispatches to on this machine (CEA_FORCE_ISA caps it;
 /// see util/cpu.h).
@@ -50,8 +52,8 @@ class TsallisBatchSolver {
   void solve();
 
   /// solve() pinned to one kernel variant — the hook the equivalence
-  /// tests and perf_solver use. Callers must check util::have_avx2 /
-  /// have_avx512 before requesting a SIMD variant.
+  /// tests and perf_solver use. Callers must check util::have_avx2
+  /// before requesting kAvx2.
   void solve_variant(TsallisBatchVariant variant);
 
   /// Normalized probability vector of request i (valid until the next

@@ -1,9 +1,9 @@
 #pragma once
 
 // Internal contract between the batched Tsallis-Newton driver
-// (tsallis_batch.cpp) and the SIMD kernel translation units
-// (tsallis_batch_avx2.cpp / tsallis_batch_avx512.cpp). Nothing here is
-// public API; include opt/tsallis_batch.h instead.
+// (tsallis_batch.cpp) and the SIMD kernel translation unit
+// (tsallis_batch_avx2.cpp). Nothing here is public API; include
+// opt/tsallis_batch.h instead.
 //
 // A kernel runs the safeguarded Newton iteration of tsallis_step.cpp for
 // `width` independent solves at once, one per vector lane. Per-lane state
@@ -40,8 +40,7 @@
 namespace cea::tsallis_detail {
 
 inline constexpr std::size_t kScalarWidth = 1;
-inline constexpr std::size_t kAvx2Width = 4;    // one __m256d of lambdas
-inline constexpr std::size_t kAvx512Width = 8;  // one __m512d of lambdas
+inline constexpr std::size_t kAvx2Width = 4;  // one __m256d of lambdas
 
 /// All arrays hold `width` lanes (the variant's vector width); padded
 /// lanes must be pre-filled with benign finite values by the driver and
@@ -65,9 +64,8 @@ using BatchKernel = void (*)(const BatchKernelArgs&);
 void newton_batch_scalar(const BatchKernelArgs& args);
 
 #if defined(__x86_64__)
-/// Only call behind util::have_avx2() / have_avx512().
+/// Only call behind util::have_avx2().
 void newton_batch_avx2(const BatchKernelArgs& args);
-void newton_batch_avx512(const BatchKernelArgs& args);
 #endif
 
 }  // namespace cea::tsallis_detail

@@ -163,9 +163,11 @@ FeedStatus DirectoryTailFeed::poll(std::size_t t, SlotInput& out) {
   const auto price_cells = split_cells(price_line);
   double buy = 0.0;
   double sell = 0.0;
+  // parse_double accepts "nan" and "inf", and a NaN fails none of the
+  // ordered comparisons, so finiteness is checked explicitly.
   if (price_cells.size() != 2 || !util::parse_double(price_cells[0], buy) ||
-      !util::parse_double(price_cells[1], sell) || buy <= 0.0 ||
-      sell <= 0.0 || sell > buy) {
+      !util::parse_double(price_cells[1], sell) || !std::isfinite(buy) ||
+      !std::isfinite(sell) || buy <= 0.0 || sell <= 0.0 || sell > buy) {
     throw std::runtime_error("DirectoryTailFeed: bad price line in " + path);
   }
   const auto count_cells = split_cells(count_line);

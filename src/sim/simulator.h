@@ -12,9 +12,8 @@
 
 namespace cea::sim {
 
-/// Execution options of a Simulator. The default is the fast batched serial
-/// engine; benchmarks and large fleets opt into per-edge parallelism or the
-/// legacy reference path.
+/// Execution options of a Simulator. The default is the serial engine;
+/// large fleets opt into per-edge parallelism.
 struct SimOptions {
   /// When set, the per-edge work of every slot is fanned out over this
   /// pool. Results are bit-identical to pool == nullptr for any thread
@@ -23,23 +22,15 @@ struct SimOptions {
   /// per-edge state is independent (true of all built-in policies except
   /// the pooled-learning extension, which shares state across edges and
   /// must run serially).
+  ///
+  /// The pool also decides where the Tsallis-INF OMD solves run. A serial
+  /// engine (pool == nullptr) gathers each slot's pending solves across
+  /// all edges into one SIMD TsallisBatchSolver call before the edge loop
+  /// (SlotEngine::begin_slot); a pooled engine solves each edge inside its
+  /// shard, where a serial presolve phase would only hold the workers
+  /// back. Both paths reproduce the scalar oracle bit for bit (see
+  /// opt/tsallis_batch.h), so the choice never changes a result.
   util::ThreadPool* pool = nullptr;
-
-  /// Reference mode reproducing the original engine's cost profile: one
-  /// LossProfile::draw() call per streamed sample from a single shared RNG
-  /// stream. Serial only (the shared stream is order-dependent); kept for
-  /// the perf_simulator bench to measure the batched engine against.
-  bool per_sample_draws = false;
-
-  /// Gather the slot's pending Tsallis-INF OMD solves across all edges
-  /// (policies implementing bandit::TsallisBatchSolvable, or fleet
-  /// policies overriding next_solve) into one TsallisBatchSolver call —
-  /// SIMD lanes across edges — before the edge fan-out. Bit-identical to
-  /// per-edge solving for any engine mode (the batch solver reproduces the
-  /// scalar oracle exactly; see opt/tsallis_batch.h), so this is purely a
-  /// performance switch; off reproduces the historical per-edge call
-  /// sites, which bench/perf_solver measures against.
-  bool cross_edge_batch_solve = true;
 
   /// Edges per shard of the pooled fan-out (0 = auto). Each shard is a
   /// contiguous [begin, end) range claimed with ONE atomic operation and
@@ -68,7 +59,8 @@ struct SimOptions {
 /// Loss sampling is batched (LossProfile::draw_batch_keyed) with one RNG
 /// stream per (edge, slot) derived from the run seed, so sampling is a
 /// pure function of (run_seed, edge, t) and the pooled edge-sharded mode
-/// (SimOptions::pool) is bit-identical to the serial one.
+/// (SimOptions::pool) is bit-identical to the serial one. The slot loop
+/// itself is sim::SlotEngine; a run steps it across the horizon.
 class Simulator {
  public:
   explicit Simulator(const Environment& environment, SimOptions options = {})

@@ -22,10 +22,8 @@ SlotEngine::SlotEngine(const Environment& env, const SimOptions& options,
       fixed_choices_(fixed_models != nullptr),
       num_edges_(env.num_edges()),
       num_models_(env.num_models()),
-      // Base of the per-(edge, slot) draw streams; also seeds the shared
-      // stream of the legacy per-sample reference mode.
+      // Base of the per-(edge, slot) draw streams.
       draw_seed_(run_seed ^ 0xD1CE5EEDBEEFULL),
-      shared_draw_rng_(draw_seed_),
       state_(env) {
   assert(trader_ != nullptr);
   assert(fixed_choices_ || fleet_ != nullptr);
@@ -72,16 +70,15 @@ SlotEngine::SlotEngine(const Environment& env, const SimOptions& options,
   // go negative through selling (SimConfig::clamp_sales_to_holdings).
   allowance_balance_ = config.carbon_cap;
 
-  per_sample_ = options_.per_sample_draws;
-  pool_ = per_sample_ ? nullptr : options_.pool;
-
-  // Cross-edge batched OMD solving: fleet policies that expose their next
-  // Tsallis solve (next_solve/accept_presolve) get it solved in one SIMD
-  // batch at the start of each slot, before the (possibly parallel) edge
-  // fan-out. Safe because a pending solve's inputs are frozen by the
+  // Cross-edge batched OMD solving, serial engines only: fleet policies
+  // that expose their next Tsallis solve (next_solve/accept_presolve) get
+  // it solved in one SIMD batch at the start of each slot, before the
+  // edge loop. Safe because a pending solve's inputs are frozen by the
   // edge's own previous feedback, and bit-identical because the batch
-  // solver reproduces the scalar oracle exactly.
-  any_batchable_ = options_.cross_edge_batch_solve && !fixed_choices_ &&
+  // solver reproduces the scalar oracle exactly. A pooled engine leaves
+  // each solve to its shard: the presolve is a serial phase every worker
+  // would wait behind.
+  any_batchable_ = options_.pool == nullptr && !fixed_choices_ &&
                    fleet_ != nullptr && fleet_->supports_batch_solve();
 
   // One contiguous shard per claim (see SimOptions::edge_shard_grain).
@@ -136,21 +133,11 @@ void SlotEngine::run_edge(std::size_t i) {
           ? samples
           : std::min<std::size_t>(samples, config.loss_draw_cap);
 
-  data::LossBatch batch;
-  if (per_sample_) {
-    for (std::size_t d = 0; d < draws; ++d) {
-      const data::LossDraw draw =
-          profiles_[loss_model]->draw(shared_draw_rng_);
-      batch.loss_sum += draw.loss;
-      batch.correct_count += draw.correct ? 1 : 0;
-    }
-  } else {
-    // Keyed directly by the (edge, slot) stream seed: no generator
-    // construction on the hot path, same pure-function-of-(seed, i, t)
-    // determinism contract.
-    batch = profiles_[loss_model]->draw_batch_keyed(
-        stream_seed(draw_seed_, i, t), draws);
-  }
+  // Keyed directly by the (edge, slot) stream seed: no generator
+  // construction on the hot path, same pure-function-of-(seed, i, t)
+  // determinism contract.
+  const data::LossBatch batch = profiles_[loss_model]->draw_batch_keyed(
+      stream_seed(draw_seed_, i, t), draws);
   const double mean_sampled_loss =
       draws > 0 ? batch.loss_sum / static_cast<double>(draws) : 0.0;
   const double sample_accuracy =
@@ -217,16 +204,10 @@ void SlotEngine::presolve() {
                               batch_solver_.scaled_lambda_warm(j));
     }
   }
-#if defined(CEA_TELEMETRY)
-  obs_solver_lanes_ = batch_count;
-#endif
 }
 
 trading::TradeDecision SlotEngine::begin_slot(
     const trading::TradeObservation& quote) {
-#if defined(CEA_TELEMETRY)
-  obs_solver_lanes_ = 0;  // presolve overwrites when it runs
-#endif
   if (any_batchable_) presolve();
   trading::TradeDecision trade;
   {
@@ -260,9 +241,10 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
 
   {
     CEA_SPAN_DETAIL("sim.edges");
-    if (pool_ != nullptr) {
-      pool_->parallel_for_blocked(num_edges_, options_.edge_shard_grain,
-                                  shard_task_);
+    if (options_.pool != nullptr) {
+      options_.pool->parallel_for_blocked(num_edges_,
+                                          options_.edge_shard_grain,
+                                          shard_task_);
     } else {
       for (std::size_t i = 0; i < num_edges_; ++i) run_edge(i);
     }
@@ -385,7 +367,6 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
     observed.slot = t_;
     observed.model_counts = obs_model_counts_;
     observed.switches_total = result_.total_switches;
-    observed.solver_lanes = obs_solver_lanes_;
     observed.arena_overflows = state_.arena_overflows();
     observed.trader_dual = trader_->dual_value();
     observed.buy = trade.buy;
@@ -459,7 +440,6 @@ void SlotEngine::save_state(util::StateWriter& writer) const {
   for (std::size_t i = 0; i < num_edges_; ++i)
     scratch.push_back(previous_model_[i]);
   writer.write_u64s("engine.previous_model", scratch);
-  writer.write_rng("engine.draw_rng", shared_draw_rng_);
   if (fixed_choices_) {
     writer.write_string("engine.policy", "fixed");
   } else {
@@ -515,7 +495,6 @@ void SlotEngine::restore_state(util::StateReader& reader) {
     }
     previous_model_[i] = static_cast<std::uint32_t>(hosted[i]);
   }
-  reader.read_rng("engine.draw_rng", shared_draw_rng_);
   const std::string policy = reader.read_string("engine.policy");
   if (fixed_choices_) {
     if (policy != "fixed") {

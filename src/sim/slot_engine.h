@@ -52,7 +52,10 @@ struct SlotObservation {
   /// Edges that selected each model this slot (size = num_models()).
   std::span<const std::uint64_t> model_counts;
   std::uint64_t switches_total = 0;   ///< cumulative switches so far
-  std::uint64_t solver_lanes = 0;     ///< batched Tsallis solves this slot
+  /// Reserved, always 0. Kept so the journal's CEA-JOURNAL v1 layout and
+  /// its existing segments stay valid; it used to count the slot's
+  /// batched Tsallis solves, which differ between serial and pooled runs.
+  std::uint64_t solver_lanes = 0;
   std::uint64_t arena_overflows = 0;  ///< cumulative arena spills (0 = clean)
   double trader_dual = 0.0;  ///< TradingPolicy::dual_value() after feedback
   double buy = 0.0, sell = 0.0;              ///< executed z^t, w^t
@@ -104,7 +107,8 @@ class SlotEngine {
   void step(const trading::TradeObservation& quote, const int* slot_workload);
 
   /// Split-phase path for multi-tenant market clearing: begin_slot runs
-  /// the cross-edge presolve and the trader's decision; the caller may
+  /// the trader's decision, preceded in a serial engine by the cross-edge
+  /// presolve (SimOptions::pool); the caller may
   /// then adjust the decision (e.g. clamp to shared market liquidity)
   /// before finish_slot executes the edge fan-out, the ledger update, and
   /// the trader feedback with the executed trade.
@@ -124,7 +128,7 @@ class SlotEngine {
   RunResult take_result();
 
   /// Snapshot the full mutable state — slot cursor, ledger, recorded
-  /// series, hosted models, draw RNG, bandit and trader state — such that
+  /// series, hosted models, bandit and trader state — such that
   /// restore_state() on a freshly constructed engine (same environment,
   /// options, factories, run_seed) continues bit-identically. Throws
   /// util::StateError when the policy or trader does not implement
@@ -146,7 +150,6 @@ class SlotEngine {
   std::size_t num_edges_ = 0;
   std::size_t num_models_ = 0;
   std::uint64_t draw_seed_ = 0;
-  Rng shared_draw_rng_;  ///< legacy per-sample reference stream
 
   RunResult result_;
   FleetState state_;
@@ -174,8 +177,6 @@ class SlotEngine {
   double audit_net_flow_ = 0.0;
 #endif
 
-  bool per_sample_ = false;
-  util::ThreadPool* pool_ = nullptr;
   bool any_batchable_ = false;
   TsallisBatchSolver batch_solver_;
 
@@ -187,7 +188,6 @@ class SlotEngine {
 #if defined(CEA_TELEMETRY)
   bool obs_detail_ = false;
   SlotObserver* observer_ = nullptr;
-  std::uint64_t obs_solver_lanes_ = 0;  ///< presolve batch width this slot
   std::vector<std::uint64_t> obs_model_counts_;  ///< per-slot scratch
 #endif
 

@@ -4,8 +4,6 @@
 #include <set>
 #include <vector>
 
-#include "bandit/epsilon_greedy.h"
-#include "bandit/exp3.h"
 #include "bandit/greedy_policy.h"
 #include "bandit/policy.h"
 #include "bandit/random_policy.h"
@@ -77,43 +75,6 @@ TEST(GreedyPolicy, IgnoresFeedback) {
   EXPECT_EQ(policy.select(1), 0u);
 }
 
-TEST(EpsilonGreedy, ZeroEpsilonIsPureExploitation) {
-  EpsilonGreedyPolicy policy(make_context(3), 0.0);
-  // Explore each arm once via best_arm's unplayed-arm preference.
-  for (std::size_t t = 0; t < 3; ++t) {
-    const std::size_t arm = policy.select(t);
-    policy.feedback(t, arm, arm == 1 ? 0.1 : 1.0);
-  }
-  for (std::size_t t = 3; t < 30; ++t) {
-    const std::size_t arm = policy.select(t);
-    EXPECT_EQ(arm, 1u);
-    policy.feedback(t, arm, 0.1);
-  }
-}
-
-TEST(EpsilonGreedy, OneEpsilonIsUniform) {
-  EpsilonGreedyPolicy policy(make_context(4, 3), 1.0);
-  std::set<std::size_t> seen;
-  for (std::size_t t = 0; t < 200; ++t) {
-    const std::size_t arm = policy.select(t);
-    seen.insert(arm);
-    policy.feedback(t, arm, 1.0);
-  }
-  EXPECT_EQ(seen.size(), 4u);
-}
-
-TEST(Exp3, ConcentratesOnBestArm) {
-  Exp3Policy policy(make_context(3, 5));
-  std::vector<int> counts(3, 0);
-  for (std::size_t t = 0; t < 3000; ++t) {
-    const std::size_t arm = policy.select(t);
-    policy.feedback(t, arm, arm == 2 ? 0.1 : 1.0);
-    if (t >= 2000) ++counts[arm];
-  }
-  EXPECT_GT(counts[2], counts[0]);
-  EXPECT_GT(counts[2], counts[1]);
-}
-
 TEST(Ucb2, PlaysEveryArmFirst) {
   Ucb2Policy policy(make_context(4), 0.5, 1.0);
   std::set<std::size_t> first_arms;
@@ -182,9 +143,8 @@ TEST(TsallisInf, StillExploresOccasionally) {
 TEST(Factories, ProduceWorkingPolicies) {
   const auto context = make_context(3, 21);
   std::vector<PolicyFactory> factories = {
-      RandomPolicy::factory(),       GreedyEnergyPolicy::factory(),
-      EpsilonGreedyPolicy::factory(), Exp3Policy::factory(),
-      Ucb2Policy::factory(),         TsallisInfPolicy::factory(),
+      RandomPolicy::factory(), GreedyEnergyPolicy::factory(),
+      Ucb2Policy::factory(),   TsallisInfPolicy::factory(),
   };
   for (auto& factory : factories) {
     auto policy = factory(context);

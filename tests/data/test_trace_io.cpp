@@ -81,7 +81,15 @@ TEST_F(TraceIoTest, RejectsSellAboveBuy) {
 }
 
 TEST_F(TraceIoTest, RejectsNonPositivePrice) {
-  write("-2.0\n");
+  // Non-finite prices are rejected too: "nan" and "inf" parse as numbers,
+  // and a NaN slips past every ordered comparison.
+  for (const char* contents : {"-2.0\n", "nan\n", "inf\n", "8,nan\n",
+                               "8,inf\n"}) {
+    write(contents);
+    EXPECT_THROW(load_prices_csv(path_), std::runtime_error) << contents;
+  }
+  // A leading "nan" row is a bad price, not a header to skip.
+  write("nan,7\n8.0,7.2\n");
   EXPECT_THROW(load_prices_csv(path_), std::runtime_error);
 }
 

@@ -181,12 +181,6 @@ inline std::string batched_golden_path() {
   return golden_dir() + "/ours_batched.csv";
 }
 
-/// The per-sample reference engine consumes a different (shared) RNG
-/// stream, so it has its own golden.
-inline std::string per_sample_golden_path() {
-  return golden_dir() + "/ours_per_sample.csv";
-}
-
 /// The Offline baseline (best fixed model + offline trading LP) pins the
 /// simplex solver bit-exactly: any pivot-order or arithmetic change in
 /// opt/simplex shows up as a field-level diff in the buys/sells rows.

@@ -13,12 +13,6 @@ int main() {
   golden::write_trace(batched, golden::batched_golden_path());
   std::printf("wrote %s\n", golden::batched_golden_path().c_str());
 
-  SimOptions per_sample;
-  per_sample.per_sample_draws = true;
-  const auto reference = golden::trace_of(golden::run_golden(per_sample));
-  golden::write_trace(reference, golden::per_sample_golden_path());
-  std::printf("wrote %s\n", golden::per_sample_golden_path().c_str());
-
   const auto offline = golden::trace_of(golden::run_golden_offline());
   golden::write_trace(offline, golden::offline_golden_path());
   std::printf("wrote %s\n", golden::offline_golden_path().c_str());

@@ -1,5 +1,7 @@
 // Golden-trace regression tests: a fixed-seed "Ours" run must reproduce
-// the checked-in trace bit for bit in every engine mode, and any 1-ULP
+// the checked-in trace bit for bit in both engine modes — serial, where
+// the OMD solves are presolved in one cross-edge batch, and pooled, where
+// each shard solves its own edges — and any 1-ULP
 // deviation must surface as a field-level diff. Regenerate the traces with
 // the golden_trace_regen tool after an intentional semantics change.
 #include "golden_trace.h"
@@ -32,24 +34,6 @@ TEST(GoldenTrace, PoolParallelMatchesGolden) {
         << "threads=" << threads << '\n'
         << join_diffs(diffs);
   }
-}
-
-TEST(GoldenTrace, PerSampleReferenceMatchesItsGolden) {
-  const auto expected = read_trace(per_sample_golden_path());
-  SimOptions options;
-  options.per_sample_draws = true;
-  const auto diffs = diff_traces(expected, trace_of(run_golden(options)));
-  EXPECT_TRUE(diffs.empty()) << join_diffs(diffs);
-}
-
-TEST(GoldenTrace, CrossEdgeBatchSolveDisabledMatchesSameGolden) {
-  // The cross-edge batched OMD solver is bit-identical to the per-edge
-  // scalar path, so BOTH engine modes must reproduce the one golden.
-  const auto expected = read_trace(batched_golden_path());
-  SimOptions options;
-  options.cross_edge_batch_solve = false;
-  const auto diffs = diff_traces(expected, trace_of(run_golden(options)));
-  EXPECT_TRUE(diffs.empty()) << join_diffs(diffs);
 }
 
 TEST(GoldenTrace, OfflineLpMatchesItsGolden) {

@@ -92,6 +92,53 @@ TEST_F(TelemetryDeterminism, TracingAndDetailDoNotPerturbPooledRun) {
   expect_bit_identical(traced, serial_traced);
 }
 
+TEST_F(TelemetryDeterminism, BlockScheduleMetricsMatchAcrossPolicyPaths) {
+  // Both Algorithm 1 implementations export the block schedule: the SoA
+  // fleet (Simulator::run_fleet, every Ours run and the daemon) and the
+  // per-edge policies (Simulator::run) must report the same block count
+  // and block-length histogram, and recording them changes no result bit.
+  const auto env = Environment::make_parametric(small_config());
+  const auto combo = ours_combo();
+  const Simulator simulator(env);
+  const RunResult quiet =
+      simulator.run_fleet(combo.fleet_policy, combo.trader, 5, combo.name);
+
+  obs::set_detail(true);
+  struct BlockMetrics {
+    double blocks = 0.0;
+    obs::HistogramValue lengths;
+  };
+  const auto block_metrics = [] {
+    BlockMetrics metrics;
+    const auto snap = obs::snapshot();
+    for (const auto& counter : snap.counters)
+      if (counter.name == "bandit.blocks") metrics.blocks = counter.value;
+    for (const auto& hist : snap.histograms)
+      if (hist.name == "bandit.block_length") metrics.lengths = hist;
+    return metrics;
+  };
+  obs::reset();
+  const RunResult fleet =
+      simulator.run_fleet(combo.fleet_policy, combo.trader, 5, combo.name);
+  const BlockMetrics fleet_metrics = block_metrics();
+  obs::reset();
+  const RunResult per_edge =
+      simulator.run(combo.policy, combo.trader, 5, combo.name);
+  const BlockMetrics per_edge_metrics = block_metrics();
+
+  expect_bit_identical(quiet, fleet);
+  expect_bit_identical(fleet, per_edge);
+  if (!obs::compiled_in()) return;
+  EXPECT_GT(fleet_metrics.blocks, 0.0);
+  EXPECT_EQ(fleet_metrics.blocks, per_edge_metrics.blocks);
+  EXPECT_EQ(fleet_metrics.lengths.count,
+            static_cast<std::uint64_t>(fleet_metrics.blocks));
+  EXPECT_EQ(fleet_metrics.lengths.bucket_counts,
+            per_edge_metrics.lengths.bucket_counts);
+  EXPECT_EQ(fleet_metrics.lengths.count, per_edge_metrics.lengths.count);
+  EXPECT_EQ(fleet_metrics.lengths.sum, per_edge_metrics.lengths.sum);
+}
+
 TEST_F(TelemetryDeterminism, SlotPhaseSpansCoverTheSlot) {
   if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   const auto env = Environment::make_parametric(small_config());

@@ -220,6 +220,12 @@ TEST_F(DirectoryTailTest, MalformedFilesThrow) {
   EXPECT_THROW(feed.poll(5, input), std::runtime_error);
   write_file("slot_6.csv", "8.0,7.0\n10,-4\n");  // non-positive count
   EXPECT_THROW(feed.poll(6, input), std::runtime_error);
+  // Non-finite prices: "nan" and "inf" parse as numbers, and a NaN slips
+  // past every ordered comparison.
+  for (const char* prices : {"nan,nan", "inf,7.0", "8,nan", "inf,inf"}) {
+    write_file("slot_7.csv", std::string(prices) + "\n10,20\n");
+    EXPECT_THROW(feed.poll(7, input), std::runtime_error) << prices;
+  }
 }
 
 TEST_F(DirectoryTailTest, RejectsZeroEdges) {

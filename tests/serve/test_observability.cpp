@@ -104,6 +104,7 @@ TEST(DecisionJournal, DaemonRunIsVerifiableAndCounted) {
     EXPECT_EQ(record.tenant, "t0");
     EXPECT_EQ(record.slot, expected_slot++);
     EXPECT_EQ(record.arena_overflows, 0u);  // slot path never fell back
+    EXPECT_EQ(record.solver_lanes, 0u);     // reserved field
     std::uint64_t edges_counted = 0;
     for (const std::uint64_t count : record.model_counts)
       edges_counted += count;

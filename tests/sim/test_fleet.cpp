@@ -1,7 +1,10 @@
 // Fleet-scale contract of the arena-backed SoA slot engine: serial and
 // pooled edge-sharded execution are bit-identical (up to 10k edges x 160
 // slots — the tentpole gate), every shard grain reduces identically, and
-// the slot path never overflows its up-front arena reservation.
+// the slot path never overflows its up-front arena reservation. A serial
+// engine presolves each slot's OMD steps in one cross-edge batch while a
+// pooled one solves them inside its shards, so the serial-vs-pooled
+// checks also pin the two solve paths against each other.
 #include <gtest/gtest.h>
 
 #include "data/workload.h"
@@ -72,22 +75,6 @@ TEST(FleetEngine, ShardGrainDoesNotChangeResults) {
   }
 }
 
-TEST(FleetEngine, BatchSolveOnAndOffBitIdentical) {
-  // The cross-edge presolve sweep (slot-arena batch_edges list +
-  // TsallisBatchSolver) must reproduce the per-edge internal solves.
-  const auto env = fleet_environment(100);
-  const auto combo = ours_combo();
-  const Simulator with_batch(env, {.cross_edge_batch_solve = true});
-  const Simulator without_batch(env, {.cross_edge_batch_solve = false});
-  const auto a =
-      with_batch.run_fleet(combo.fleet_policy, combo.trader, 9, combo.name);
-  const auto b = without_batch.run_fleet(combo.fleet_policy, combo.trader, 9,
-                                         combo.name);
-  expect_bit_identical(a, b);
-  EXPECT_EQ(a.arena_overflows, 0u);
-  EXPECT_EQ(b.arena_overflows, 0u);
-}
-
 TEST(FleetEngine, HeavyTailWorkloadSerialVsPooledBitIdentical) {
   // The keyed heavy-tailed generator drives the engine the same way the
   // diurnal one does; pooled execution stays bit-identical under it.
@@ -107,8 +94,8 @@ TEST(FleetEngine, FlashCrowdWorkloadSerialVsPooledBitIdentical) {
 }
 
 TEST(FleetEngine, ZeroOverflowsAcrossEngineModes) {
-  // The arena reservation covers every engine mode's slot path: serial,
-  // pooled, fixed-choice, and the per-sample reference mode.
+  // The arena reservation covers every engine mode's slot path: serial
+  // (with the cross-edge presolve), pooled, and fixed-choice.
   const auto env = fleet_environment(50);
   const auto combo = ours_combo();
   EXPECT_EQ(run_combo(env, combo, 2).arena_overflows, 0u);
@@ -117,10 +104,6 @@ TEST(FleetEngine, ZeroOverflowsAcrossEngineModes) {
   const Simulator simulator(env);
   const std::vector<std::size_t> choice(env.num_edges(), 0);
   EXPECT_EQ(simulator.run_fixed(choice, combo.trader, 2, "fixed")
-                .arena_overflows,
-            0u);
-  const Simulator per_sample(env, {.per_sample_draws = true});
-  EXPECT_EQ(per_sample.run(combo.policy, combo.trader, 2, combo.name)
                 .arena_overflows,
             0u);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include "bandit/random_policy.h"
@@ -26,6 +27,10 @@ struct ScenarioCase {
   double switching_weight;
   std::size_t shift_slot;
 };
+
+// Keeps the test ID free of the raw byte dump (and its ASLR-dependent heap
+// pointer) that gtest prints for types without a printer.
+void PrintTo(const ScenarioCase& c, std::ostream* os) { *os << c.name; }
 
 class SimulatorInvariants : public ::testing::TestWithParam<ScenarioCase> {
  protected:

@@ -111,21 +111,6 @@ TEST(ParallelEngine, RepeatedPoolRunsAreDeterministic) {
   expect_bit_identical(a, b);
 }
 
-TEST(ParallelEngine, PerSampleReferenceModeStillRuns) {
-  // The legacy per-sample path (kept for the perf bench) must keep
-  // producing valid results; it uses a different (shared) draw stream, so
-  // only invariants are checked, not equality.
-  const auto env = Environment::make_parametric(small_config());
-  const auto combo = ours_combo();
-  const Simulator legacy(env, {.per_sample_draws = true});
-  const auto result = legacy.run(combo.policy, combo.trader, 5, "Ours");
-  EXPECT_EQ(result.horizon(), 60u);
-  for (double a : result.accuracy) {
-    EXPECT_GE(a, 0.0);
-    EXPECT_LE(a, 1.0);
-  }
-}
-
 TEST(ParallelEngine, NestedRunLevelAndEdgeLevelParallelism) {
   // run_combo_averaged_parallel over the global pool, where each run's
   // simulator also uses the pool, must neither deadlock nor change
