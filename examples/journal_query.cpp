@@ -1,11 +1,13 @@
 // Decision-journal query tool (obs/journal.h): verify a journal's
 // checksums, filter and export its records, or reconstruct the
-// serve_daemon trace CSV bit-for-bit from the journaled decisions.
+// serve_daemon trace CSV bit-for-bit from the journaled decisions. It also
+// prints a binary checkpoint (util/state_io.h) as text.
 //
 //   journal_query <dir> --verify
 //   journal_query <dir> [--tenant NAME] [--from S] [--to S]
 //                       [--format csv|json] [--out PATH]
 //   journal_query <dir> --format trace --out trace.csv
+//   journal_query --dump-checkpoint ck.bin
 //
 // Trace mode folds duplicate (tenant, slot) records — a daemon restored
 // from a checkpoint re-executes the slots after it bit-identically, so
@@ -13,19 +15,25 @@
 // corruption. The rebuilt CSV is byte-comparable (`cmp`) against
 // serve_daemon --trace-out of the same run.
 //
+// --dump-checkpoint verifies the checkpoint's envelope, then walks its
+// records without a schema and prints one `key type count values...` line
+// per record (doubles as hex-floats).
+//
 // Exit codes: 0 success, 1 bad usage, 2 runtime failure, 3 corrupt or
-// inconsistent journal.
+// inconsistent journal or checkpoint.
 
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/journal.h"
 #include "util/csv.h"
 #include "util/numio.h"
+#include "util/state_io.h"
 
 namespace {
 
@@ -39,6 +47,7 @@ struct Args {
   std::size_t from_slot = 0;
   std::size_t to_slot = static_cast<std::size_t>(-1);
   std::string out;  // empty = stdout (trace mode requires a path)
+  std::string dump_checkpoint;  // checkpoint file to print; no directory
 };
 
 bool parse_args(int argc, char** argv, Args& args) {
@@ -54,6 +63,8 @@ bool parse_args(int argc, char** argv, Args& args) {
     const char* v = nullptr;
     if (!std::strcmp(a, "--verify")) {
       args.verify = true;
+    } else if (!std::strcmp(a, "--dump-checkpoint") && (v = need_value(i))) {
+      args.dump_checkpoint = v;
     } else if (!std::strcmp(a, "--format") && (v = need_value(i))) {
       args.format = v;
     } else if (!std::strcmp(a, "--tenant") && (v = need_value(i))) {
@@ -71,11 +82,12 @@ bool parse_args(int argc, char** argv, Args& args) {
       return false;
     }
   }
-  if (args.directory.empty()) {
+  if (args.directory.empty() == args.dump_checkpoint.empty()) {
     std::fprintf(stderr,
                  "usage: journal_query <dir> [--verify] [--tenant NAME] "
                  "[--from S] [--to S] [--format csv|json|trace] "
-                 "[--out PATH]\n");
+                 "[--out PATH]\n"
+                 "       journal_query --dump-checkpoint FILE\n");
     return false;
   }
   return true;
@@ -232,11 +244,35 @@ void write_trace(const std::vector<obs::JournalRecord>& records,
   }
 }
 
+/// --dump-checkpoint: exit 2 when the file cannot be read, 3 when its
+/// envelope or records are damaged.
+int dump_checkpoint(const std::string& path) {
+  std::string bytes;
+  try {
+    bytes = util::read_file_bytes(path);
+  } catch (const util::StateError& e) {
+    std::fprintf(stderr, "journal_query: %s\n", e.what());
+    return 2;
+  }
+  std::string text;
+  try {
+    text = util::dump_state(util::decode_checkpoint(std::move(bytes)));
+  } catch (const util::StateError& e) {
+    std::fprintf(stderr, "journal_query: CORRUPT — %s\n", e.what());
+    return 3;
+  }
+  std::fwrite(text.data(), 1, text.size(), stdout);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args;
   if (!parse_args(argc, argv, args)) return 1;
+  if (!args.dump_checkpoint.empty()) {
+    return dump_checkpoint(args.dump_checkpoint);
+  }
   try {
     if (args.verify) {
       const obs::JournalStats stats = obs::verify_journal(args.directory);

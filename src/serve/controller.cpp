@@ -125,7 +125,10 @@ void ServeController::step(const trading::TradeObservation& quote,
 }
 
 std::string ServeController::checkpoint_payload() const {
-  util::StateWriter writer;
+  // Between checkpoints the payload grows only by the recorded series'
+  // new entries, so an eighth of headroom over the previous size makes
+  // the whole encode one allocation with no regrowth copies.
+  util::StateWriter writer(checkpoint_bytes_ + checkpoint_bytes_ / 8);
   writer.write_u64("serve.tenants", tenants_.size());
   writer.write_double("serve.market_cap", market_.max_volume_per_slot);
   for (const auto& tenant : tenants_) {
@@ -133,7 +136,8 @@ std::string ServeController::checkpoint_payload() const {
     writer.write_u64("serve.run_seed", tenant.run_seed);
     tenant.engine->save_state(writer);
   }
-  return writer.payload();
+  checkpoint_bytes_ = writer.payload().size();
+  return writer.take();
 }
 
 void ServeController::restore_payload(std::string_view payload) {

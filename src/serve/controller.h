@@ -116,6 +116,8 @@ class ServeController {
   std::vector<Tenant> tenants_;
   std::size_t total_edges_ = 0;
   MarketRule market_;
+  /// Size of the last checkpoint_payload(): the next one's buffer hint.
+  mutable std::size_t checkpoint_bytes_ = 0;
 #if defined(CEA_TELEMETRY)
   struct Tap;
   // unique_ptr for address stability: each engine keeps a pointer to its

@@ -355,7 +355,8 @@ TEST_F(CheckpointRejectionTest, DaemonRejectsVersionMismatchedFile) {
     buffer << in.rdbuf();
     bytes = buffer.str();
   }
-  const auto pos = bytes.find(" v1 ");
+  const auto pos =
+      bytes.find(" v" + std::to_string(util::kCheckpointVersion) + " ");
   ASSERT_NE(pos, std::string::npos);
   bytes[pos + 2] = '7';
   {

@@ -7,13 +7,19 @@
 #include <clocale>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "../integration/golden_trace.h"
 #include "data/trace_io.h"
+#include "serve/controller.h"
+#include "serve/feed.h"
 #include "util/csv.h"
 #include "util/numio.h"
 #include "util/rng.h"
@@ -162,9 +168,266 @@ TEST(StateIo, VectorCountMismatchThrows) {
   EXPECT_THROW(reader.read_doubles("v", 3), StateError);
 }
 
+TEST(StateIo, RecordIsKeyLengthKeyTagAndRawLittleEndianValue) {
+  StateWriter writer;
+  writer.write_u64("k", 0x0102030405060708ULL);
+  writer.write_doubles("v", std::vector<double>{1.0});
+  const std::string u64_record(
+      "\x01" "k" "\x01" "\x08\x07\x06\x05\x04\x03\x02\x01", 11);
+  const std::string doubles_record(
+      "\x01" "v" "\x06" "\x01\0\0\0\0\0\0\0" "\0\0\0\0\0\0\xf0\x3f", 19);
+  EXPECT_EQ(writer.payload(), u64_record + doubles_record);
+}
+
+TEST(StateIo, WriterRejectsEmptyAndOverlongKeys) {
+  StateWriter writer;
+  EXPECT_THROW(writer.write_u64("", 1), StateError);
+  EXPECT_THROW(writer.write_u64(std::string(256, 'k'), 1), StateError);
+  EXPECT_TRUE(writer.payload().empty());
+  writer.write_u64(std::string(255, 'k'), 1);
+  StateReader reader(writer.payload());
+  EXPECT_EQ(reader.read_u64(std::string(255, 'k')), 1u);
+  reader.expect_end();
+}
+
+TEST(StateIo, TakeMovesThePayloadOut) {
+  StateWriter writer(1024);
+  writer.write_u64("a", 1);
+  const std::string expected = writer.payload();
+  EXPECT_EQ(writer.take(), expected);
+  EXPECT_TRUE(writer.payload().empty());
+}
+
+TEST(StateIo, DumpStateRendersEveryRecordType) {
+  StateWriter writer;
+  writer.write_u64("u", 42);
+  writer.write_i64("i", -7);
+  writer.write_bool("b", true);
+  writer.write_double("d", 0.5);
+  writer.write_string("s", "a b\\");
+  writer.write_doubles("ds", std::vector<double>{1.5, -0.0});
+  writer.write_u64s("us", std::vector<std::uint64_t>{});
+  const Rng rng(3);
+  writer.write_rng("r", rng);
+  const Rng::State state = rng.state();
+  std::string expected = "u u64 1 42\ni i64 1 -7\nb bool 1 1\nd f64 1 " +
+                         format_double_exact(0.5) + "\ns str 4 a\\x20b\\x5c\n" +
+                         "ds f64[] 2 " + format_double_exact(1.5) + " " +
+                         format_double_exact(-0.0) + "\nus u64[] 0\nr rng 1";
+  for (const std::uint64_t word : state.s) expected += " " + format_u64(word);
+  expected += " " + format_double_exact(state.cached_normal) + " 0\n";
+  EXPECT_EQ(dump_state(writer.payload()), expected);
+  EXPECT_EQ(dump_state(""), "");
+}
+
+// ---------------------------------------------------------------------------
+// Hostile payloads: every damaged input either throws StateError or
+// restores state that serializes back to exactly the same bytes. Another
+// exception type fails the test; a crash or UB trips the sanitizer build.
+// ---------------------------------------------------------------------------
+
+// A 2-tenant x 3-edge controller advanced 5 slots: a real payload holding
+// the engine's, the SoA fleet's and the carbon trader's records.
+std::vector<serve::TenantSpec> hostile_specs() {
+  std::vector<serve::TenantSpec> specs;
+  for (const char* name : {"alpha", "beta"}) {
+    serve::TenantSpec spec;
+    spec.name = name;
+    spec.scenario = sim::golden::golden_config();
+    spec.scenario.num_edges = 3;
+    spec.scenario.horizon = 16;
+    spec.scenario.workload.num_slots = 16;
+    spec.scenario.seed = 17 + specs.size();
+    spec.combo = sim::ours_combo();
+    spec.run_seed = 7 + specs.size();
+    specs.push_back(std::move(spec));
+  }
+  return specs;
+}
+
+std::string hostile_payload() {
+  serve::ServeController controller(hostile_specs(), sim::SimOptions{});
+  serve::SyntheticFeed feed(controller.total_edges(), 9);
+  serve::SlotInput input;
+  while (controller.slot() < 5) {
+    EXPECT_EQ(feed.poll(controller.slot(), input), serve::FeedStatus::kReady);
+    controller.step(input.quote, input.workload);
+  }
+  return controller.checkpoint_payload();
+}
+
+/// Restore `payload`; a StateError is a pass, a success must round-trip.
+void expect_rejected_or_exact(serve::ServeController& controller,
+                              const std::string& payload,
+                              const std::string& label) {
+  try {
+    controller.restore_payload(payload);
+  } catch (const StateError&) {
+    return;
+  }
+  EXPECT_EQ(controller.checkpoint_payload(), payload) << label;
+}
+
+TEST(StateIoHostile, PayloadTruncatedAtEveryOffset) {
+  const std::string payload = hostile_payload();
+  serve::ServeController controller(hostile_specs(), sim::SimOptions{});
+  for (std::size_t size = 0; size < payload.size(); ++size) {
+    EXPECT_THROW(controller.restore_payload(payload.substr(0, size)),
+                 StateError)
+        << "truncated to " << size << " of " << payload.size() << " bytes";
+  }
+  controller.restore_payload(payload);
+  EXPECT_EQ(controller.checkpoint_payload(), payload);
+}
+
+TEST(StateIoHostile, EveryRecordHeaderByteFlipped) {
+  const std::string payload = hostile_payload();
+  // Header = key length, key, tag and (strings, vectors) the count: the
+  // bytes from just before the key to the start of the value.
+  std::vector<std::pair<std::size_t, std::size_t>> headers;
+  std::set<StateTag> tags;
+  StateReader reader(payload);
+  while (!reader.at_end()) {
+    const StateRecord record = reader.next_record();
+    headers.emplace_back(
+        static_cast<std::size_t>(record.key.data() - payload.data()) - 1,
+        static_cast<std::size_t>(record.value.data() - payload.data()));
+    tags.insert(record.tag);
+  }
+  for (const StateTag tag :
+       {StateTag::kU64, StateTag::kBool, StateTag::kF64, StateTag::kString,
+        StateTag::kF64s, StateTag::kU64s, StateTag::kRng}) {
+    EXPECT_TRUE(tags.count(tag)) << "payload lacks tag " << int(tag);
+  }
+  serve::ServeController controller(hostile_specs(), sim::SimOptions{});
+  for (const auto& [begin, end] : headers) {
+    for (std::size_t i = begin; i < end; ++i) {
+      for (const unsigned char mask : {0x01, 0x80, 0xFF}) {
+        std::string damaged = payload;
+        damaged[i] = static_cast<char>(damaged[i] ^ mask);
+        expect_rejected_or_exact(controller, damaged,
+                                 "byte " + std::to_string(i) + " ^ " +
+                                     std::to_string(mask));
+      }
+    }
+  }
+}
+
+// Overwrite the count of the payload's first record (a count-led one).
+std::string with_count(std::string payload, std::uint64_t count) {
+  const std::size_t at = 1 + static_cast<unsigned char>(payload[0]) + 1;
+  std::memcpy(payload.data() + at, &count, sizeof count);
+  return payload;
+}
+
+TEST(StateIoHostile, ForgedCountThrowsBeforeAllocating) {
+  // 2^61 elements of 8 bytes wrap to 0 in 64 bits, so the reader must
+  // bound the count by division, and before sizing a container: sizing
+  // first would throw std::length_error or std::bad_alloc, not StateError.
+  constexpr std::uint64_t kForged = std::uint64_t{1} << 61;
+  StateWriter doubles;
+  doubles.write_doubles("v", std::vector<double>{1.0, 2.0});
+  StateWriter u64s;
+  u64s.write_u64s("v", std::vector<std::uint64_t>{1, 2});
+  StateWriter text;
+  text.write_string("v", "ab");
+  const std::string forged = with_count(doubles.payload(), kForged);
+  EXPECT_THROW(StateReader(forged).read_doubles("v"), StateError);
+  EXPECT_THROW(StateReader(forged).read_doubles("v", kForged), StateError);
+  EXPECT_THROW(StateReader(with_count(u64s.payload(), kForged)).read_u64s("v"),
+               StateError);
+  EXPECT_THROW(
+      StateReader(with_count(text.payload(), kForged)).read_string("v"),
+      StateError);
+  EXPECT_THROW(dump_state(forged), StateError);
+}
+
+TEST(StateIoHostile, KeyLengthPastTheEndThrows) {
+  StateWriter writer;
+  writer.write_u64("key", 1);
+  std::string payload = writer.payload();
+  payload[0] = static_cast<char>(200);
+  EXPECT_THROW(StateReader(payload).read_u64("key"), StateError);
+  EXPECT_THROW(dump_state(payload), StateError);
+  EXPECT_THROW(StateReader(std::string(1, '\x05')).next_record(), StateError);
+}
+
+TEST(StateIoHostile, UnknownTagAndOutOfRangeFlagsThrow) {
+  StateWriter writer;
+  writer.write_bool("b", true);
+  std::string payload = writer.payload();
+  payload[2] = 0x7F;  // the tag byte
+  EXPECT_THROW(StateReader(payload).read_bool("b"), StateError);
+  EXPECT_THROW(dump_state(payload), StateError);
+  payload = writer.payload();
+  payload[3] = 2;  // the bool byte
+  EXPECT_THROW(StateReader(payload).read_bool("b"), StateError);
+  EXPECT_THROW(dump_state(payload), StateError);
+
+  StateWriter rng_writer;
+  rng_writer.write_rng("r", Rng(1));
+  payload = rng_writer.payload();
+  payload.back() = 2;  // the Box-Muller cache flag
+  Rng rng(0);
+  EXPECT_THROW(StateReader(payload).read_rng("r", rng), StateError);
+  EXPECT_THROW(dump_state(payload), StateError);
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint envelope
 // ---------------------------------------------------------------------------
+
+TEST(Checkpoint, ChecksumKnownAnswers) {
+  // Values from an independent implementation of the definition in
+  // state_io.h. Up to 7 bytes it is FNV-1a; "a" is FNV-1a's own test vector.
+  EXPECT_EQ(checkpoint_checksum(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(checkpoint_checksum("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(checkpoint_checksum("abcdefgh"), 0x3919eeb037f8083cULL);
+  EXPECT_EQ(checkpoint_checksum("abcdefghi"), 0xff18ea6f1a76286fULL);
+  std::string ramp;
+  for (int repeat = 0; repeat < 4; ++repeat) {
+    for (int byte = 0; byte < 256; ++byte) {
+      ramp.push_back(static_cast<char>(byte));
+    }
+  }
+  EXPECT_EQ(checkpoint_checksum(ramp), 0x2db58ae3ba083421ULL);
+  // The byte-serial FNV-1a of the journal is a different function.
+  EXPECT_EQ(fnv1a64("abcdefgh"), 0x25da8c1836a8d66dULL);
+}
+
+TEST(Checkpoint, EverySingleBitFlipInThePayloadIsRejected) {
+  StateWriter writer;
+  writer.write_u64("engine.slot", 80);
+  writer.write_doubles("engine.emissions",
+                       std::vector<double>{0.25, 1.0 / 3.0, -7.5});
+  writer.write_string("engine.algorithm", "Ours");
+  ASSERT_NE(writer.payload().size() % 8, 0u);  // the tail path is covered
+  const std::string file = encode_checkpoint(writer.payload());
+  const std::size_t payload_at = file.find('\n') + 1;
+  for (std::size_t i = payload_at; i < file.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = file;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      EXPECT_THROW(decode_checkpoint(flipped), StateError)
+          << "byte " << i << " bit " << bit;
+    }
+  }
+}
+
+TEST(Checkpoint, RejectsVersionOneTextCheckpoint) {
+  // A well-formed v1 file: hex-float text lines under a byte-serial FNV-1a.
+  const std::string v1 =
+      "CEA-CHECKPOINT v1 39 165eeb22ca0baeec\n"
+      "engine.slot 80\nengine.balance 0x1.8p+3\n";
+  try {
+    decode_checkpoint(v1);
+    FAIL() << "a v1 checkpoint was accepted";
+  } catch (const StateError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version v1"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Checkpoint, EncodeDecodeRoundTrip) {
   const std::string payload = "engine.slot u64 5\nengine.x d 0x1.8p+3\n";
@@ -178,7 +441,7 @@ TEST(Checkpoint, DecodeRejectsBadMagic) {
 
 TEST(Checkpoint, DecodeRejectsVersionMismatch) {
   std::string file = encode_checkpoint("k u64 1\n");
-  const auto pos = file.find("v1");
+  const auto pos = file.find("v" + std::to_string(kCheckpointVersion));
   ASSERT_NE(pos, std::string::npos);
   file[pos + 1] = '9';
   EXPECT_THROW(decode_checkpoint(file), StateError);
