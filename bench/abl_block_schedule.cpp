@@ -81,11 +81,12 @@ int main(int argc, char** argv) {
 
   const std::vector<sim::AlgorithmCombo> variants = {
       sim::ours_combo(),  // growing blocks (Theorem 1 schedule)
-      {"Fixed-1 (plain TINF)", FixedBlockTsallis::factory(1),
+      {"Fixed-1 (plain TINF)",
+       bandit::adapt_per_edge(FixedBlockTsallis::factory(1)),
        core::OnlineCarbonTrader::factory()},
-      {"Fixed-5", FixedBlockTsallis::factory(5),
+      {"Fixed-5", bandit::adapt_per_edge(FixedBlockTsallis::factory(5)),
        core::OnlineCarbonTrader::factory()},
-      {"Fixed-20", FixedBlockTsallis::factory(20),
+      {"Fixed-20", bandit::adapt_per_edge(FixedBlockTsallis::factory(20)),
        core::OnlineCarbonTrader::factory()},
   };
 

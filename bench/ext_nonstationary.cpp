@@ -10,7 +10,7 @@
 #include "bandit/tsallis_inf.h"
 #include "bandit/ucb2.h"
 #include "bench_common.h"
-#include "core/blocked_tsallis_inf.h"
+#include "core/blocked_tsallis_fleet.h"
 #include "core/carbon_trader.h"
 #include "util/table.h"
 
@@ -37,13 +37,14 @@ int main(int argc, char** argv) {
       sim::ours_combo(),
       // Discounted Algorithm 1: old evidence fades, tracking the drift.
       {"Ours-disc0.9",
-       core::BlockedTsallisInfPolicy::discounted_factory(0.9),
+       core::BlockedTsallisFleetPolicy::discounted_factory(0.9),
        core::OnlineCarbonTrader::factory()},
-      {"UCB2-PD", bandit::Ucb2Policy::factory(),
+      {"UCB2-PD", bandit::adapt_per_edge(bandit::Ucb2Policy::factory()),
        core::OnlineCarbonTrader::factory()},
-      {"Thompson-PD", bandit::ThompsonSamplingPolicy::factory(),
+      {"Thompson-PD",
+       bandit::adapt_per_edge(bandit::ThompsonSamplingPolicy::factory()),
        core::OnlineCarbonTrader::factory()},
-      {"TINF-PD", bandit::TsallisInfPolicy::factory(),
+      {"TINF-PD", bandit::adapt_per_edge(bandit::TsallisInfPolicy::factory()),
        core::OnlineCarbonTrader::factory()},
   };
 

@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
 
     const auto ours = sim::run_combo_averaged(env, sim::ours_combo(), runs, 7);
     const sim::AlgorithmCombo pooled{
-        "Pooled", core::pooled_tsallis_factory(), sim::ours_combo().trader};
+        "Pooled", bandit::adapt_per_edge(core::pooled_tsallis_factory()),
+        sim::ours_combo().trader};
     // Serial averaging: the pooled factory is stateful across edges.
     const auto pooled_result = sim::run_combo_averaged(env, pooled, runs, 7);
 

@@ -7,7 +7,6 @@
 
 #include "bandit/greedy_policy.h"
 #include "bench_common.h"
-#include "core/blocked_tsallis_inf.h"
 #include "core/carbon_trader.h"
 #include "trading/random_trader.h"
 #include "util/stats.h"
@@ -33,9 +32,10 @@ int main(int argc, char** argv) {
               edge, config.horizon, runs);
 
   const auto ours = bench::averaged(env, sim::ours_combo(), runs, 7);
-  const sim::AlgorithmCombo greedy{"Greedy-Ran",
-                                   bandit::GreedyEnergyPolicy::factory(),
-                                   trading::RandomTrader::factory()};
+  const sim::AlgorithmCombo greedy{
+      "Greedy-Ran",
+      bandit::adapt_per_edge(bandit::GreedyEnergyPolicy::factory()),
+      trading::RandomTrader::factory()};
   const auto greedy_run = bench::averaged(env, greedy, runs, 7);
   const auto offline = sim::run_offline_averaged(env, runs, 7);
 

@@ -4,11 +4,10 @@
 // orders of magnitude cheaper than Algorithm 1.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <vector>
 
 #include "bench_common.h"
-#include "core/blocked_tsallis_inf.h"
+#include "core/blocked_tsallis_fleet.h"
 #include "core/carbon_trader.h"
 #include "opt/simplex.h"
 #include "opt/tsallis_step.h"
@@ -19,24 +18,22 @@ namespace {
 
 using namespace cea;
 
-/// One full Algorithm-1 slot across I edges: select + feedback per edge.
+/// One full Algorithm-1 slot across I edges: select + feedback per edge on
+/// the SoA fleet the simulator and the daemon run.
 void BM_Algorithm1_Slot(benchmark::State& state) {
   const auto num_edges = static_cast<std::size_t>(state.range(0));
-  std::vector<std::unique_ptr<core::BlockedTsallisInfPolicy>> policies;
-  for (std::size_t i = 0; i < num_edges; ++i) {
-    bandit::PolicyContext context;
-    context.num_models = 6;
-    context.switching_cost = 1.5;
-    context.seed = 100 + i;
-    policies.push_back(
-        std::make_unique<core::BlockedTsallisInfPolicy>(context));
-  }
+  bandit::FleetPolicyContext context;
+  context.num_edges = num_edges;
+  context.num_models = 6;
+  context.run_seed = 100;
+  context.switching_cost.assign(num_edges, 1.5);
+  core::BlockedTsallisFleetPolicy fleet(context);
   Rng noise(1);
   std::size_t t = 0;
   for (auto _ : state) {
-    for (auto& policy : policies) {
-      const std::size_t arm = policy->select(t);
-      policy->feedback(t, arm, 0.5 + noise.uniform(-0.1, 0.1));
+    for (std::size_t i = 0; i < num_edges; ++i) {
+      const std::size_t arm = fleet.select(i, t);
+      fleet.feedback(i, t, arm, 0.5 + noise.uniform(-0.1, 0.1));
     }
     benchmark::DoNotOptimize(t);
     ++t;

@@ -1,7 +1,8 @@
 // Perf bench for the simulation engine itself (not a paper figure): slots
-// per second of Simulator::run with the "Ours" combo on the fig03 scenario
-// (seed-42 parametric environment, T=160, loss_draw_cap=256) at 10/50/200
-// edges, in two engine modes:
+// per second of Simulator::run with the "Ours" combo (the SoA Algorithm 1
+// fleet, core::BlockedTsallisFleetPolicy, plus Algorithm 2) on the fig03
+// scenario (seed-42 parametric environment, T=160, loss_draw_cap=256) at
+// 10/50/200 edges, in two engine modes:
 //
 //   serial_batched   — LossProfile::draw_batch with per-(edge,slot)
 //                      streams and the cross-edge OMD presolve, single

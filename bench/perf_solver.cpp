@@ -79,6 +79,7 @@ std::vector<SolveRequest> make_requests(std::size_t edges) {
       // Solve a nearby problem first and keep its scaled root as the warm
       // hint, then drift the losses like one more block of feedback would.
       double warm = 0.0;
+      p.resize(arms);
       tsallis_probabilities_into(request.losses, request.eta, p, scratch,
                                  &warm);
       request.warm = warm;
@@ -96,6 +97,7 @@ void run_newton_scalar_loop(benchmark::State& state, std::size_t edges) {
   for (auto _ : state) {
     for (const auto& request : requests) {
       double warm = request.warm;
+      p.resize(request.losses.size());
       tsallis_probabilities_into(request.losses, request.eta, p, scratch,
                                  &warm);
       sink += p[0] + warm;

@@ -116,7 +116,8 @@ int main(int argc, char** argv) {
       [&] {
         return sim::run_combo_averaged(
             env,
-            {"Pooled-PD", core::pooled_tsallis_factory(),
+            {"Pooled-PD",
+             bandit::adapt_per_edge(core::pooled_tsallis_factory()),
              sim::ours_combo().trader},
             runs, 7);
       },

@@ -1,11 +1,12 @@
 // Extending the library: implement a custom model-selection policy
-// (explore-then-commit) against the bandit::ModelSelectionPolicy interface
-// and plug it into the simulator next to the built-in algorithms.
+// (explore-then-commit) against the per-edge bandit::ModelSelectionPolicy
+// interface and plug it into the simulator next to the built-in algorithms
+// through bandit::adapt_per_edge, which runs one instance per edge.
 #include <cstdio>
 #include <memory>
 
+#include "bandit/fleet_policy.h"
 #include "bandit/policy.h"
-#include "core/blocked_tsallis_inf.h"
 #include "core/carbon_trader.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
@@ -69,9 +70,9 @@ int main() {
   // against "Ours" and the Offline reference.
   const std::vector<sim::AlgorithmCombo> contenders = {
       sim::ours_combo(),
-      {"ETC-PD", ExploreThenCommit::factory(4),
+      {"ETC-PD", bandit::adapt_per_edge(ExploreThenCommit::factory(4)),
        core::OnlineCarbonTrader::factory()},
-      {"ETC1-PD", ExploreThenCommit::factory(1),
+      {"ETC1-PD", bandit::adapt_per_edge(ExploreThenCommit::factory(1)),
        core::OnlineCarbonTrader::factory()},
   };
 

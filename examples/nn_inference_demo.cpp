@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/blocked_tsallis_inf.h"
+#include "core/blocked_tsallis_fleet.h"
 #include "data/synthetic_dataset.h"
 #include "nn/loss.h"
 #include "nn/train.h"
@@ -43,12 +43,14 @@ int main() {
                 model.name().c_str(), model.parameter_count(), losses.back());
   }
 
-  // Stream 40 slots of live inference through Algorithm 1.
-  bandit::PolicyContext context;
+  // Stream 40 slots of live inference through Algorithm 1 on one edge.
+  bandit::FleetPolicyContext context;
+  context.num_edges = 1;
   context.num_models = zoo.size();
-  context.switching_cost = 1.0;
-  context.seed = 3;
-  core::BlockedTsallisInfPolicy policy(context);
+  context.run_seed = 3;
+  context.switching_cost = {1.0};
+  core::BlockedTsallisFleetPolicy policy(context);
+  const std::size_t edge = 0;
 
   Rng stream_rng(4);
   std::vector<std::size_t> host_counts(zoo.size(), 0);
@@ -59,7 +61,7 @@ int main() {
   const std::size_t slots = 40, samples_per_slot = 16;
   nn::Tensor feature({1, 1, 28, 28});
   for (std::size_t t = 0; t < slots; ++t) {
-    const std::size_t hosted = policy.select(t);  // Step 1: place a model
+    const std::size_t hosted = policy.select(edge, t);  // Step 1: place a model
     ++host_counts[hosted];
     double slot_loss = 0.0;
     for (std::size_t s = 0; s < samples_per_slot; ++s) {
@@ -77,7 +79,7 @@ int main() {
     const double avg = slot_loss / samples_per_slot;
     mean_losses[hosted] += avg;
     ++loss_counts[hosted];
-    policy.feedback(t, hosted, avg);  // Step 4: improve next selection
+    policy.feedback(edge, t, hosted, avg);  // Step 4: improve next selection
   }
 
   std::printf("\nStreamed %zu slots x %zu samples, overall accuracy %.2f\n\n",
@@ -92,7 +94,10 @@ int main() {
                   3);
   }
   table.print();
-  std::printf("\nAlgorithm 1 concentrates hosting on the lowest-loss model\n"
-              "while only switching at block boundaries.\n");
+  std::printf(
+      "\nAfter %zu slots Algorithm 1 is early in its block schedule and still\n"
+      "exploring; it switches models only at block boundaries (bench/fig08\n"
+      "shows where the selections settle over a full horizon).\n",
+      slots);
   return 0;
 }

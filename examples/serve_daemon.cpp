@@ -3,7 +3,7 @@
 //
 // Typical drills (see EXPERIMENTS.md "Serving daemon"):
 //   # full run, hex-exact trace out
-//   serve_daemon --tenants 2 --edges 3 --slots 160 --checkpoint ck.bin \
+//   serve_daemon --tenants 2 --edges 3 --slots 160 --checkpoint ck.bin
 //                --trace-out full.csv
 //   # run the first 80 slots, "crash", restore, finish, compare traces
 //   serve_daemon ... --stop-after 80 --checkpoint ck.bin
@@ -11,7 +11,7 @@
 //   cmp full.csv resumed.csv
 //
 // Observability (DESIGN.md §13):
-//   serve_daemon ... --journal jdir --metrics-out metrics.prom \
+//   serve_daemon ... --journal jdir --metrics-out metrics.prom
 //                    --metrics-port 0 --slo-window 16
 //   journal_query jdir --verify
 //

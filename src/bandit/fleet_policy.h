@@ -25,8 +25,8 @@
 
 namespace cea::bandit {
 
-/// Per-edge policy seed derivation shared by Simulator::policy_context and
-/// every fleet policy, so a fleet implementation reproduces — bit for bit —
+/// Per-edge policy seed derivation shared by PerEdgeFleetAdapter and every
+/// SoA fleet policy, so a fleet implementation reproduces — bit for bit —
 /// the randomness of the equivalent per-edge policy instances.
 constexpr std::uint64_t policy_stream_seed(std::uint64_t run_seed,
                                            std::size_t edge) noexcept {
@@ -104,11 +104,10 @@ using FleetPolicyFactory =
     std::function<std::unique_ptr<FleetPolicy>(const FleetPolicyContext&)>;
 
 /// Adapter running any per-edge PolicyFactory as a FleetPolicy: builds one
-/// ModelSelectionPolicy per edge with exactly the PolicyContext (seed
-/// included) the simulator historically built, and probes each instance
-/// once for TsallisBatchSolvable. This is the compatibility path every
-/// existing policy runs through; SoA-native fleets (e.g.
-/// core::BlockedTsallisFleetPolicy) bypass it.
+/// ModelSelectionPolicy per edge (seeded via policy_stream_seed) and probes
+/// each instance once for TsallisBatchSolvable. The per-edge baselines run
+/// through it; SoA-native fleets (e.g. core::BlockedTsallisFleetPolicy)
+/// implement FleetPolicy directly.
 class PerEdgeFleetAdapter final : public FleetPolicy {
  public:
   PerEdgeFleetAdapter(const PolicyFactory& factory,

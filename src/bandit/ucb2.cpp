@@ -84,9 +84,24 @@ bool Ucb2Policy::save_state(util::StateWriter& writer) const {
 bool Ucb2Policy::load_state(util::StateReader& reader) {
   stats_.load_state(reader);
   const auto epochs = reader.read_u64s("ucb2.epochs", epochs_.size());
-  for (std::size_t arm = 0; arm < epochs_.size(); ++arm)
+  for (std::size_t arm = 0; arm < epochs_.size(); ++arm) {
+    // select() converts the next epoch's length tau(r+1) - tau(r) to an
+    // integer; a forged count whose length does not fit would make that
+    // conversion undefined.
+    const double next_tau = std::ceil(
+        std::pow(1.0 + alpha_, static_cast<double>(epochs[arm]) + 1.0));
+    if (!(next_tau < 0x1p63)) {
+      throw util::StateError("UCB2: checkpointed epoch count out of range");
+    }
     epochs_[arm] = static_cast<std::size_t>(epochs[arm]);
-  current_arm_ = reader.read_u64("ucb2.current_arm");
+  }
+  const std::uint64_t arm = reader.read_u64("ucb2.current_arm");
+  if (arm >= epochs_.size()) {
+    // select() would hand the arm to the engine, which indexes its
+    // per-model tables with it.
+    throw util::StateError("UCB2: checkpointed arm out of range");
+  }
+  current_arm_ = static_cast<std::size_t>(arm);
   remaining_plays_ = reader.read_u64("ucb2.remaining_plays");
   return true;
 }

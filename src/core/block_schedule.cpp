@@ -44,7 +44,6 @@ std::size_t BlockSchedule::blocks_for_horizon(
 }
 
 void record_block_start(std::size_t block_length) {
-#if defined(CEA_TELEMETRY)
   if (!obs::detail_enabled()) return;
   // |B_{i,k}| grows like sqrt(k), so the length distribution shows how far
   // into the schedule a run got.
@@ -55,9 +54,6 @@ void record_block_start(std::size_t block_length) {
   obs::observe(obs_length, static_cast<double>(block_length));
   static const obs::MetricId obs_blocks = obs::counter("bandit.blocks");
   obs::add(obs_blocks);
-#else
-  (void)block_length;
-#endif
 }
 
 double BlockSchedule::block_count_bound(std::size_t horizon) const noexcept {

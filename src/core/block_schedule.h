@@ -47,9 +47,9 @@ class BlockSchedule {
   std::size_t num_models_;
 };
 
-/// Block-schedule telemetry shared by both Algorithm 1 implementations
-/// (BlockedTsallisInfPolicy and BlockedTsallisFleetPolicy), called once per
-/// started block: under obs::detail_enabled() it counts the block
+/// Block-schedule telemetry of Algorithm 1 (BlockedTsallisFleetPolicy and
+/// its per-edge test oracle), called once per started block: under
+/// obs::detail_enabled() it counts the block
 /// (`bandit.blocks`) and records its length |B_{i,k}|
 /// (`bandit.block_length`). Observational only.
 void record_block_start(std::size_t block_length);

@@ -39,26 +39,23 @@ BlockedTsallisFleetPolicy::BlockedTsallisFleetPolicy(
 
 void BlockedTsallisFleetPolicy::start_block(std::size_t edge) {
   const std::size_t k = block_index_[edge] + 1;  // 1-based block index
-  double* p = probabilities_.data() + edge * num_models_;
+  const std::span<double> p(probabilities_.data() + edge * num_models_,
+                            num_models_);
   if (presolved_[edge]) {
     // The simulator's cross-edge batch pass already solved this block's
     // OMD step (bit-identical to the call below) into the p slab.
     presolved_[edge] = 0;
   } else {
-    // Thread-confined scratch: solves for different edges may run on
+    // The solve writes the edge's row of the p slab in place. Thread-
+    // confined theta scratch: solves for different edges may run on
     // different shards concurrently, and the scratch never influences the
     // result values (workspace only).
-    thread_local std::vector<double> p_scratch;
     thread_local std::vector<double> theta_scratch;
-    double warm = solver_warm_[edge];
     tsallis_probabilities_into(cumulative_losses(edge),
-                               schedule_[edge].learning_rate(k), p_scratch,
-                               theta_scratch, &warm);
-    solver_warm_[edge] = warm;
-    std::copy(p_scratch.begin(), p_scratch.end(), p);
+                               schedule_[edge].learning_rate(k), p,
+                               theta_scratch, &solver_warm_[edge]);
   }
-  current_arm_[edge] = static_cast<std::uint32_t>(
-      rng_[edge].categorical({p, num_models_}));
+  current_arm_[edge] = static_cast<std::uint32_t>(rng_[edge].categorical(p));
   CEA_CHECK(current_arm_[edge] < num_models_, "blocked_tsallis.arm_index",
             edge, audit::kNoIndex, static_cast<double>(current_arm_[edge]),
             "sampled arm " << current_arm_[edge] << " out of range for "
@@ -71,8 +68,10 @@ void BlockedTsallisFleetPolicy::start_block(std::size_t edge) {
 }
 
 void BlockedTsallisFleetPolicy::finish_block(std::size_t edge) {
-  // Mirrors BlockedTsallisInfPolicy::finish_block, including its audit
-  // checks — the invariants hold per edge regardless of the state layout.
+  // Block accounting: a block is only folded in once all of its scheduled
+  // slots were served (the truncated final block never reaches here), and
+  // the accumulated block loss must be a finite, nonnegative sum of
+  // per-slot losses (sampled loss + computation cost are both >= 0).
   CEA_CHECK(slots_left_[edge] == 0, "blocked_tsallis.block_truncated", edge,
             audit::kNoIndex, static_cast<double>(slots_left_[edge]),
             "finish_block with " << slots_left_[edge]
@@ -86,6 +85,9 @@ void BlockedTsallisFleetPolicy::finish_block(std::size_t edge) {
   if (discount_ < 1.0) {
     for (std::size_t n = 0; n < num_models_; ++n) losses[n] *= discount_;
   }
+  // Importance-weighted estimator: chat_{k,n} = 1{J=n} c_{k,n} / p_{k,n}.
+  // The sampled arm always has the solver's strictly positive probability;
+  // a degenerate weight means the simplex solve above went wrong.
   const double* p = probabilities_.data() + edge * num_models_;
   const std::size_t arm = current_arm_[edge];
   CEA_CHECK(p[arm] > 1e-12, "blocked_tsallis.importance_weight", edge,
@@ -121,6 +123,9 @@ void BlockedTsallisFleetPolicy::feedback(std::size_t edge, std::size_t /*t*/,
 
 bool BlockedTsallisFleetPolicy::next_solve(std::size_t edge,
                                            bandit::TsallisSolveRequest& out) {
+  // A solve is due iff the next select() will call start_block(): the
+  // open block was closed by this edge's own feedback (or none started
+  // yet) and has no slots left. All solve inputs are frozen until then.
   if (slots_left_[edge] != 0 || block_open_[edge] || presolved_[edge])
     return false;
   out.cumulative_losses = cumulative_losses(edge);
@@ -183,25 +188,26 @@ bool BlockedTsallisFleetPolicy::load_state(util::StateReader& reader) {
   probabilities_ = reader.read_doubles("btfleet.probabilities", slab);
   solver_warm_ = reader.read_doubles("btfleet.solver_warm", num_edges_);
   block_loss_ = reader.read_doubles("btfleet.block_loss", num_edges_);
-  auto narrow = [&](std::string_view key, auto& values) {
+  // Each field is range-checked in its 64-bit checkpointed form, before it
+  // is narrowed: a forged 2^32 + 1 must not pass as arm 1.
+  auto narrow = [&](std::string_view key, auto& values, std::uint64_t limit) {
     const auto wide = reader.read_u64s(key, values.size());
     for (std::size_t i = 0; i < values.size(); ++i) {
+      if (wide[i] >= limit) {
+        throw util::StateError("BlockedTsallisFleet: checkpointed " +
+                               std::string(key) + " out of range");
+      }
       values[i] =
           static_cast<typename std::decay_t<decltype(values)>::value_type>(
               wide[i]);
     }
   };
-  narrow("btfleet.block_index", block_index_);
-  narrow("btfleet.current_arm", current_arm_);
-  narrow("btfleet.slots_left", slots_left_);
-  narrow("btfleet.block_open", block_open_);
-  narrow("btfleet.presolved", presolved_);
-  for (std::size_t i = 0; i < num_edges_; ++i) {
-    if (current_arm_[i] >= num_models_) {
-      throw util::StateError(
-          "BlockedTsallisFleet: checkpointed arm out of range");
-    }
-  }
+  constexpr std::uint64_t kU32End = std::uint64_t{1} << 32;
+  narrow("btfleet.block_index", block_index_, kU32End);
+  narrow("btfleet.current_arm", current_arm_, num_models_);
+  narrow("btfleet.slots_left", slots_left_, kU32End);
+  narrow("btfleet.block_open", block_open_, 2);  // flags are 0 or 1
+  narrow("btfleet.presolved", presolved_, 2);
   return true;
 }
 

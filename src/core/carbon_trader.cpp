@@ -36,7 +36,6 @@ trading::TradeDecision OnlineCarbonTrader::decide(
       prev_decision_.sell + gamma2_ * (prev_sell_price_ - lambda_);
   decision.buy = trading::clamp_trade(raw_buy, context_);
   decision.sell = trading::clamp_trade(raw_sell, context_);
-#if defined(CEA_TELEMETRY)
   if (obs::detail_enabled()) {
     // How often the rectified primal step's per-coordinate box clamp
     // actually binds (per coordinate, either box face). Fires once per
@@ -50,7 +49,6 @@ trading::TradeDecision OnlineCarbonTrader::decide(
     if (decision.buy != raw_buy) obs::add(obs_clamp_buy);
     if (decision.sell != raw_sell) obs::add(obs_clamp_sell);
   }
-#endif
   CEA_CHECK(decision.buy >= 0.0 && decision.buy <= context_.max_trade_per_slot,
             "trader.primal_box", audit::kNoIndex, audit::kNoIndex,
             decision.buy,
@@ -71,7 +69,6 @@ void OnlineCarbonTrader::feedback(std::size_t /*t*/, double emission,
   const double g = emission - per_slot_cap_share_ - executed.buy +
                    executed.sell;
   lambda_ = std::max(0.0, lambda_ + gamma1_ * g);
-#if defined(CEA_TELEMETRY)
   if (obs::detail_enabled()) {
     // Dual trajectory: last value as a gauge, distribution over the run as
     // a histogram, and — when tracing — a Perfetto counter track that
@@ -86,7 +83,6 @@ void OnlineCarbonTrader::feedback(std::size_t /*t*/, double emission,
     obs::observe(obs_lambda_hist, lambda_);
     obs::trace_counter("trader.lambda", lambda_);
   }
-#endif
   // Dual feasibility: lambda^{t+1} = [lambda^t + gamma1 g^t]^+ must stay
   // finite and nonnegative; the executed trade the dual sees must lie in
   // the liquidity box (the simulator's holdings clamp only shrinks sells).

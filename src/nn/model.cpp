@@ -11,7 +11,6 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   return *this;
 }
 
-#if defined(CEA_TELEMETRY)
 void Sequential::ensure_layer_metrics() {
   if (fwd_metrics_.size() == layers_.size()) return;
   fwd_metrics_.clear();
@@ -25,31 +24,22 @@ void Sequential::ensure_layer_metrics() {
     bwd_metrics_.push_back({obs::duration_histogram(bwd_label), bwd_label});
   }
 }
-#endif
 
 Tensor Sequential::forward(const Tensor& input) {
-#if defined(CEA_TELEMETRY)
   ensure_layer_metrics();
-#endif
   Tensor activation = input;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-#if defined(CEA_TELEMETRY)
     const obs::ScopedSpan span(fwd_metrics_[i].id, fwd_metrics_[i].label);
-#endif
     activation = layers_[i]->forward(activation);
   }
   return activation;
 }
 
 void Sequential::backward(const Tensor& grad_logits) {
-#if defined(CEA_TELEMETRY)
   ensure_layer_metrics();
-#endif
   Tensor grad = grad_logits;
   for (std::size_t i = layers_.size(); i-- > 0;) {
-#if defined(CEA_TELEMETRY)
     const obs::ScopedSpan span(bwd_metrics_[i].id, bwd_metrics_[i].label);
-#endif
     grad = layers_[i]->backward(grad);
   }
 }

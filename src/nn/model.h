@@ -70,7 +70,6 @@ class Sequential {
   const Layer& layer(std::size_t i) const noexcept { return *layers_[i]; }
 
  private:
-#if defined(CEA_TELEMETRY)
   /// Per-layer duration histograms "nn.{fwd,bwd}.<model>.<i>.<layer>",
   /// built lazily on the first forward/backward after the layer list
   /// changes. Labels are interned so trace events can hold them by
@@ -81,7 +80,6 @@ class Sequential {
   };
   void ensure_layer_metrics();
   std::vector<LayerMetric> fwd_metrics_, bwd_metrics_;
-#endif
 
   std::string name_;
   std::vector<std::unique_ptr<Layer>> layers_;

@@ -194,9 +194,9 @@ void grow_cells(Vec& cells, std::size_t needed) {
 
 MetricId register_metric(std::uint32_t kind, std::string_view name,
                          std::span<const double> edges = {}) {
-  // Under -DCEA_TELEMETRY=OFF the macro sites vanish, and any direct API
-  // call degrades to a no-op on an empty registry so harness code needs no
-  // #ifdefs.
+  // With metric recording compiled out (compiled_in() == false) the macro
+  // sites vanish, and any direct API call degrades to a no-op on an empty
+  // registry so harness code needs no #ifdefs.
   if (!compiled_in()) return kInvalidMetric;
   Registry& reg = registry();
   const std::lock_guard<std::mutex> lock(reg.mutex);

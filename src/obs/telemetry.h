@@ -18,10 +18,13 @@
 //    every parallel_for using instrumented tasks has returned (the pool's
 //    job-completion acquire/release pair makes worker shard writes visible
 //    to the caller). The benches and tests drain after runs complete.
-//  * Compiled out entirely under -DCEA_TELEMETRY=OFF: the CEA_SPAN /
-//    CEA_TELEM sites expand to nothing (arguments unevaluated) and the
-//    registry stays empty; the API below still links so exporters and
-//    harness code need no #ifdefs.
+//  * -DCEA_TELEMETRY=OFF removes metric recording only, and this header
+//    is the only place that switch is read: the CEA_SPAN / CEA_TELEM
+//    sites expand to nothing (arguments unevaluated), detail_enabled() is
+//    a constant false, ScopedSpan reads no clock, and the registry stays
+//    empty. The API below still links, so no other file needs an #if.
+//    The decision journal, the SLO watchdog, the metrics page and the
+//    engine's SlotObserver hook are runtime opt-ins in every build.
 
 #include <atomic>
 #include <cstddef>
@@ -34,7 +37,7 @@
 namespace cea::obs {
 
 /// True when the build was configured with -DCEA_TELEMETRY=ON (the
-/// default), i.e. the CEA_SPAN / CEA_TELEM sites are compiled in.
+/// default), i.e. metric recording is compiled in.
 constexpr bool compiled_in() noexcept {
 #if defined(CEA_TELEMETRY)
   return true;
@@ -189,23 +192,27 @@ void trace_counter(const char* name, double value);
 /// perf_simulator); the bench harness turns detail on together with
 /// tracing when --telemetry is given. Telemetry never feeds control flow,
 /// so toggling this cannot change any computed result.
+/// A constant false under -DCEA_TELEMETRY=OFF, so detail-gated blocks
+/// compile away without an #if at the site.
 void set_detail(bool enabled);
 inline bool detail_enabled() noexcept {
-  return internal::g_detail.load(std::memory_order_relaxed);
+  return compiled_in() && internal::g_detail.load(std::memory_order_relaxed);
 }
 
 // ------------------------------------------------------------- span timer
 
 /// RAII phase timer: construction stamps now_ns(), destruction records the
 /// duration into the histogram `id` and, when tracing is enabled, pushes a
-/// trace event. A span constructed with enabled=false reads no clock at
-/// all (the dominant cost of an idle span) and records nothing. Use
-/// through CEA_SPAN / CEA_SPAN_DETAIL below so the site compiles out under
-/// -DCEA_TELEMETRY=OFF.
+/// trace event. A span constructed with enabled=false — and every span
+/// under -DCEA_TELEMETRY=OFF — reads no clock at all (the dominant cost of
+/// an idle span) and records nothing. Prefer CEA_SPAN / CEA_SPAN_DETAIL
+/// below, which also register the histogram once per site.
 class ScopedSpan {
  public:
   ScopedSpan(MetricId id, const char* name, bool enabled = true) noexcept
-      : id_(id), name_(name), start_(enabled ? now_ns() : -1) {}
+      : id_(id),
+        name_(name),
+        start_(compiled_in() && enabled ? now_ns() : -1) {}
   ~ScopedSpan() {
     if (start_ >= 0) finish();
   }

@@ -264,8 +264,7 @@ void TsallisBatchSolver::solve_variant(TsallisBatchVariant variant) {
           double warm = warm_[req];
           tsallis_probabilities_into(
               std::span<const double>(losses_.data() + offset_[req], n), eta,
-              oracle_p_, oracle_theta_, &warm);
-          std::copy(oracle_p_.begin(), oracle_p_.end(), p);
+              std::span<double>(p, n), oracle_theta_, &warm);
           warm_out_[req] = warm;
           CEA_TELEM(static const obs::MetricId obs_delegated =
                         obs::counter("tsallis.batch.delegated");
@@ -304,7 +303,6 @@ void TsallisBatchSolver::solve_variant(TsallisBatchVariant variant) {
           for (std::size_t a = 0; a < n; ++a) p[a] *= inv_total;
         }
 
-#if defined(CEA_TELEMETRY)
         if (obs::detail_enabled()) {
           static const double kIterEdges[] = {1,  2,  3,  4,  6,  8, 12,
                                               16, 24, 32, 48, 64, 100};
@@ -315,7 +313,6 @@ void TsallisBatchSolver::solve_variant(TsallisBatchVariant variant) {
           static const obs::MetricId obs_solves = obs::counter("tsallis.solves");
           obs::add(obs_solves);
         }
-#endif
         CEA_CHECK(std::abs(total - 1.0) <= 1e-6, "tsallis.solver_residual",
                   audit::kNoIndex, audit::kNoIndex, total - 1.0,
                   "pre-normalization mass " << total << " deviates from 1 by "

@@ -89,7 +89,7 @@ class TsallisBatchSolver {
       lane_total_;
   std::vector<unsigned char> lane_exit_;
   std::vector<int> lane_iters_;
-  std::vector<double> oracle_p_, oracle_theta_;  // divergence delegation
+  std::vector<double> oracle_theta_;  // divergence delegation scratch
 };
 
 }  // namespace cea

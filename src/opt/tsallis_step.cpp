@@ -39,19 +39,19 @@ int tsallis_newton_iteration_cap() noexcept { return g_newton_iteration_cap; }
 
 std::vector<double> tsallis_probabilities(
     std::span<const double> cumulative_losses, double eta) {
-  std::vector<double> p, theta;
+  std::vector<double> p(cumulative_losses.size()), theta;
   tsallis_probabilities_into(cumulative_losses, eta, p, theta);
   return p;
 }
 
 void tsallis_probabilities_into(std::span<const double> cumulative_losses,
-                                double eta, std::vector<double>& p,
+                                double eta, std::span<double> p,
                                 std::vector<double>& theta_scratch,
                                 double* scaled_lambda_warm) {
   assert(eta > 0.0);
   const std::size_t n = cumulative_losses.size();
   assert(n > 0);
-  p.resize(n);
+  assert(p.size() == n);
   if (n == 1) {
     p[0] = 1.0;
     return;
@@ -150,7 +150,6 @@ void tsallis_probabilities_into(std::span<const double> cumulative_losses,
               obs::add(obs_fallbacks););
   }
   if (scaled_lambda_warm != nullptr) *scaled_lambda_warm = eta * lambda;
-#if defined(CEA_TELEMETRY)
   if (obs::detail_enabled()) {
     // Solver convergence telemetry: Newton iterations per solve (warm
     // starts should keep this at 1-3) and how often the bracketed Brent
@@ -164,7 +163,6 @@ void tsallis_probabilities_into(std::span<const double> cumulative_losses,
     static const obs::MetricId obs_solves = obs::counter("tsallis.solves");
     obs::add(obs_solves);
   }
-#endif
 
   if (!p_current) {
     total = 0.0;
@@ -176,7 +174,6 @@ void tsallis_probabilities_into(std::span<const double> cumulative_losses,
   }
   const double inv_total = 1.0 / total;
   for (auto& v : p) v *= inv_total;  // exact renormalization
-#if defined(CEA_TELEMETRY)
   if (obs::detail_enabled()) {
     // Pre-renormalization simplex residual |mass - 1|: how far the root
     // finder was from the exact simplex before the final renormalization
@@ -187,7 +184,6 @@ void tsallis_probabilities_into(std::span<const double> cumulative_losses,
         obs::histogram("tsallis.simplex_residual", kResidualEdges);
     obs::observe(obs_residual, std::abs(total - 1.0));
   }
-#endif
 
   // Audit invariants: the solver's residual mass before renormalization
   // must be near 1 (else the root-finder silently failed and the

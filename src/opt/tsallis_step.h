@@ -22,10 +22,12 @@ namespace cea {
 std::vector<double> tsallis_probabilities(
     std::span<const double> cumulative_losses, double eta);
 
-/// Allocation-free variant for callers on a hot path (the blocked policy
+/// Allocation-free variant for callers on a hot path (the blocked fleet
 /// re-solves this every block, i.e. every few simulated slots per edge):
-/// writes the probabilities into `p` and uses `theta_scratch` as working
-/// storage, both resized as needed and reusable across calls.
+/// writes the probabilities into `p`, which the caller sizes to
+/// cumulative_losses.size() (e.g. one edge's row of an [E x N] slab), and
+/// uses `theta_scratch` as working storage, resized as needed and reusable
+/// across calls.
 ///
 /// `scaled_lambda_warm`, when non-null, warm-starts the Newton iteration:
 /// on entry a positive *scaled_lambda_warm is taken as the scaled root
@@ -35,7 +37,7 @@ std::vector<double> tsallis_probabilities(
 /// Newton region of the new one and typically saves most iterations. The
 /// safeguarded bracket makes a stale hint harmless.
 void tsallis_probabilities_into(std::span<const double> cumulative_losses,
-                                double eta, std::vector<double>& p,
+                                double eta, std::span<double> p,
                                 std::vector<double>& theta_scratch,
                                 double* scaled_lambda_warm = nullptr);
 

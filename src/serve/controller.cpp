@@ -35,14 +35,8 @@ ServeController::ServeController(const std::vector<TenantSpec>& tenants,
     // constructed exactly like a batch run of the same combo — that is
     // what makes daemon output comparable bit-for-bit to Simulator::run.
     sim::Simulator builder(*tenant.env, options);
-    std::unique_ptr<bandit::FleetPolicy> fleet;
-    if (spec.prefer_fleet_policy && spec.combo.fleet_policy) {
-      fleet = spec.combo.fleet_policy(
-          builder.fleet_policy_context(spec.run_seed));
-    } else {
-      fleet = std::make_unique<bandit::PerEdgeFleetAdapter>(
-          spec.combo.policy, builder.fleet_policy_context(spec.run_seed));
-    }
+    auto fleet =
+        spec.combo.policy(builder.fleet_policy_context(spec.run_seed));
     auto trader = spec.combo.trader(builder.trader_context(spec.run_seed));
     tenant.engine = std::make_unique<sim::SlotEngine>(
         *tenant.env, options, std::move(fleet), std::move(trader),
@@ -54,7 +48,6 @@ ServeController::ServeController(const std::vector<TenantSpec>& tenants,
 
 ServeController::~ServeController() = default;
 
-#if defined(CEA_TELEMETRY)
 // Adapter from one engine's SlotObserver to the controller-level
 // (tenant, slot) observer.
 struct ServeController::Tap final : sim::SlotObserver {
@@ -81,7 +74,6 @@ void ServeController::set_observer(TenantSlotObserver* observer) {
     taps_.push_back(std::move(tap));
   }
 }
-#endif  // CEA_TELEMETRY
 
 std::size_t ServeController::slot() const noexcept {
   return tenants_.front().engine->slot();

@@ -25,7 +25,6 @@
 
 namespace cea::serve {
 
-#if defined(CEA_TELEMETRY)
 /// Controller-level decision observer: one callback per (tenant, slot),
 /// in tenant-index order within each slot (phase 3 executes tenants in
 /// index order, and every engine hook fires synchronously). The daemon
@@ -36,7 +35,6 @@ class TenantSlotObserver {
   virtual void on_tenant_slot(std::size_t tenant,
                               const sim::SlotObservation& observed) = 0;
 };
-#endif
 
 /// One tenant: a scenario, an algorithm pairing, and a run seed.
 struct TenantSpec {
@@ -44,9 +42,6 @@ struct TenantSpec {
   sim::SimConfig scenario;        ///< its environment (edges, caps, budgets)
   sim::AlgorithmCombo combo;      ///< policy + trader (sim/experiment.h)
   std::uint64_t run_seed = 1;
-  /// Use combo.fleet_policy (SoA-native) when available; otherwise the
-  /// per-edge adapter path — exactly Simulator::run_fleet vs run.
-  bool prefer_fleet_policy = true;
 };
 
 /// Shared market rule: per-slot liquidity cap across ALL tenants, on buys
@@ -87,12 +82,10 @@ class ServeController {
   void step(const trading::TradeObservation& quote,
             std::span<const int> workload_all);
 
-#if defined(CEA_TELEMETRY)
   /// Attach (or detach with nullptr) the per-(tenant, slot) observer by
   /// fanning a tap into every tenant engine. The observer must outlive
   /// the controller or be detached first.
   void set_observer(TenantSlotObserver* observer);
-#endif
 
   /// Serialize the full controller state (meta + every engine) into a
   /// checkpoint payload for util::encode_checkpoint/write_checkpoint_file.
@@ -118,12 +111,10 @@ class ServeController {
   MarketRule market_;
   /// Size of the last checkpoint_payload(): the next one's buffer hint.
   mutable std::size_t checkpoint_bytes_ = 0;
-#if defined(CEA_TELEMETRY)
   struct Tap;
   // unique_ptr for address stability: each engine keeps a pointer to its
   // tap while attached.
   std::vector<std::unique_ptr<Tap>> taps_;
-#endif
 };
 
 }  // namespace cea::serve

@@ -27,7 +27,6 @@ void sleep_ms(std::size_t ms) {
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-#if defined(CEA_TELEMETRY)
 std::int64_t steady_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -42,11 +41,9 @@ bool journaled_alert(obs::SloKind kind) {
   return kind == obs::SloKind::kProjectedCapBreach ||
          kind == obs::SloKind::kAllowanceInsolvency;
 }
-#endif
 
 }  // namespace
 
-#if defined(CEA_TELEMETRY)
 // All observability state of one daemon: the journal writer, the SLO
 // watchdog, the per-tenant gauge cache behind the metrics page, and the
 // optional TCP endpoint. Implements the controller observer so every
@@ -296,7 +293,6 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
     return obs::prometheus_text(snap, extra);
   }
 };
-#endif  // CEA_TELEMETRY
 
 ServeDaemon::ServeDaemon(ServeController& controller, FeedSource& feed,
                          DaemonConfig config)
@@ -307,7 +303,6 @@ ServeDaemon::ServeDaemon(ServeController& controller, FeedSource& feed,
         " edges, controller needs " +
         std::to_string(controller_.total_edges()));
   }
-#if defined(CEA_TELEMETRY)
   const bool observability = !config_.journal_dir.empty() ||
                              !config_.metrics_path.empty() ||
                              config_.metrics_port >= 0 ||
@@ -317,21 +312,16 @@ ServeDaemon::ServeDaemon(ServeController& controller, FeedSource& feed,
     obs_ = std::make_unique<Obs>(controller_, config_);
     controller_.set_observer(obs_.get());
   }
-#endif
 }
 
 ServeDaemon::~ServeDaemon() {
-#if defined(CEA_TELEMETRY)
   if (obs_ != nullptr) controller_.set_observer(nullptr);
-#endif
 }
 
 int ServeDaemon::metrics_port() const noexcept {
-#if defined(CEA_TELEMETRY)
   if (obs_ != nullptr && obs_->server != nullptr) {
     return obs_->server->port();
   }
-#endif
   return -1;
 }
 
@@ -346,26 +336,22 @@ bool ServeDaemon::restore_if_present() {
 
 void ServeDaemon::restore_from(const std::string& path) {
   controller_.restore_payload(util::read_checkpoint_file(path));
-#if defined(CEA_TELEMETRY)
   if (obs_ != nullptr) obs_->sync_from_engines();
-#endif
 }
 
 void ServeDaemon::write_checkpoint() {
   if (config_.checkpoint_path.empty()) return;
   util::write_checkpoint_file(config_.checkpoint_path,
                               controller_.checkpoint_payload());
-#if defined(CEA_TELEMETRY)
-  static const obs::MetricId obs_ckpt = obs::counter("serve.checkpoints");
-  obs::add(obs_ckpt, 1.0);
-#endif
+  CEA_TELEM(static const obs::MetricId obs_ckpt =
+                obs::counter("serve.checkpoints");
+            obs::add(obs_ckpt, 1.0););
 }
 
 DaemonReport ServeDaemon::run() {
   DaemonReport report;
   std::size_t pending_streak = 0;
   SlotInput input;
-#if defined(CEA_TELEMETRY)
   const std::size_t journal_every =
       config_.journal_every == 0 ? 1 : config_.journal_every;
   const std::size_t metrics_every =
@@ -374,7 +360,6 @@ DaemonReport ServeDaemon::run() {
     report.metrics_port = metrics_port();
     obs_->last_ready_ms = steady_ms();  // the stall clock starts now
   }
-#endif
   while (true) {
     const std::size_t t = controller_.slot();
     if (config_.max_slots != 0 && t >= config_.max_slots) break;
@@ -384,14 +369,12 @@ DaemonReport ServeDaemon::run() {
       break;
     }
     if (status == FeedStatus::kPending) {
-#if defined(CEA_TELEMETRY)
-      static const obs::MetricId obs_pending =
-          obs::counter("serve.feed_pending");
-      obs::add(obs_pending, 1.0);
+      CEA_TELEM(static const obs::MetricId obs_pending =
+                    obs::counter("serve.feed_pending");
+                obs::add(obs_pending, 1.0););
       if (obs_ != nullptr) {
         obs_->watchdog.observe_feed(t, steady_ms(), obs_->last_ready_ms);
       }
-#endif
       ++pending_streak;
       if (config_.max_pending_polls != 0 &&
           pending_streak >= config_.max_pending_polls) {
@@ -401,21 +384,19 @@ DaemonReport ServeDaemon::run() {
       continue;
     }
     pending_streak = 0;
-#if defined(CEA_TELEMETRY)
     std::int64_t wall_start_ms = 0;
     if (obs_ != nullptr) {
       wall_start_ms = steady_ms();
       obs_->last_ready_ms = wall_start_ms;
     }
-#endif
     {
       CEA_SPAN("serve.slot");
       controller_.step(input.quote, input.workload);
     }
     ++report.slots_processed;
-#if defined(CEA_TELEMETRY)
-    static const obs::MetricId obs_slots = obs::counter("serve.slots");
-    obs::add(obs_slots, 1.0);
+    CEA_TELEM(static const obs::MetricId obs_slots =
+                  obs::counter("serve.slots");
+              obs::add(obs_slots, 1.0););
     if (obs_ != nullptr) {
       obs_->watchdog.observe_slot_wall(t, steady_ms() - wall_start_ms);
       obs_->record_alerts(obs_->watchdog.drain());
@@ -423,18 +404,15 @@ DaemonReport ServeDaemon::run() {
       if (done % journal_every == 0) obs_->seal_journal();
       if (done % metrics_every == 0) obs_->publish_metrics(steady_ms());
     }
-#endif
     sleep_ms(config_.slot_delay_ms);
     const bool boundary =
         config_.checkpoint_every != 0 &&
         controller_.slot() % config_.checkpoint_every == 0;
     if (boundary) {
-#if defined(CEA_TELEMETRY)
       // The journal must cover everything the checkpoint claims happened:
       // seal before persisting the engine state, so a crash between the
       // two leaves a journal that is at least as long as the checkpoint.
       if (obs_ != nullptr) obs_->seal_journal();
-#endif
       write_checkpoint();
       ++report.checkpoints_written;
     }
@@ -443,15 +421,12 @@ DaemonReport ServeDaemon::run() {
       break;
     }
   }
-#if defined(CEA_TELEMETRY)
   if (obs_ != nullptr) obs_->seal_journal();
-#endif
   if (!config_.checkpoint_path.empty()) {
     write_checkpoint();
     ++report.checkpoints_written;
   }
   report.final_slot = controller_.slot();
-#if defined(CEA_TELEMETRY)
   if (obs_ != nullptr) {
     obs_->publish_metrics(steady_ms());
     report.alerts = obs_->watchdog.counts();
@@ -461,7 +436,6 @@ DaemonReport ServeDaemon::run() {
       report.journal_segments = obs_->journal->segments_sealed();
     }
   }
-#endif
   return report;
 }
 

@@ -43,9 +43,9 @@ struct DaemonConfig {
 
   // --- observability (DESIGN.md §13) -----------------------------------
   // All of it is observational: enabling any of these cannot change a
-  // computed result. Under -DCEA_TELEMETRY=OFF the engine hook feeding
-  // these surfaces is compiled out, so they stay inert (empty journal,
-  // registry-only metrics, no alerts).
+  // computed result. Each is a runtime opt-in and works in every build;
+  // a build without metric recording only leaves the telemetry-registry
+  // part of the metrics page empty.
   /// Decision-journal directory (must already exist); empty disables the
   /// journal. Segments are sealed crash-safely at slot boundaries.
   std::string journal_dir;
@@ -72,8 +72,8 @@ struct DaemonReport {
   std::size_t final_slot = 0;        ///< controller slot after the run
   bool feed_ended = false;           ///< stopped because the feed ended
 
-  // Observability outcome (all zero when observability is disabled or
-  // compiled out). Alert counts are per watchdog rule, indexed by SloKind.
+  // Observability outcome (all zero when observability is disabled).
+  // Alert counts are per watchdog rule, indexed by SloKind.
   std::array<std::uint64_t, obs::kSloKindCount> alerts{};
   std::uint64_t alerts_total = 0;
   std::size_t journal_records = 0;   ///< records sealed since construction
@@ -113,10 +113,8 @@ class ServeDaemon {
   ServeController& controller_;
   FeedSource& feed_;
   DaemonConfig config_;
-#if defined(CEA_TELEMETRY)
   struct Obs;  // journal writer + watchdog + metrics sinks (daemon.cpp)
   std::unique_ptr<Obs> obs_;
-#endif
 };
 
 }  // namespace cea::serve

@@ -8,7 +8,6 @@
 #include "bandit/tsallis_inf.h"
 #include "bandit/ucb2.h"
 #include "core/blocked_tsallis_fleet.h"
-#include "core/blocked_tsallis_inf.h"
 #include "core/carbon_trader.h"
 #include "core/regret.h"
 #include "sim/simulator.h"
@@ -21,9 +20,8 @@
 namespace cea::sim {
 
 AlgorithmCombo ours_combo() {
-  return {"Ours", core::BlockedTsallisInfPolicy::factory(),
-          core::OnlineCarbonTrader::factory(),
-          core::BlockedTsallisFleetPolicy::factory()};
+  return {"Ours", core::BlockedTsallisFleetPolicy::factory(),
+          core::OnlineCarbonTrader::factory()};
 }
 
 std::vector<AlgorithmCombo> baseline_combos() {
@@ -50,7 +48,8 @@ std::vector<AlgorithmCombo> baseline_combos() {
   combos.reserve(selectors.size() * traders.size());
   for (const auto& s : selectors) {
     for (const auto& tr : traders) {
-      combos.push_back({s.name + "-" + tr.name, s.factory, tr.factory});
+      combos.push_back({s.name + "-" + tr.name,
+                        bandit::adapt_per_edge(s.factory), tr.factory});
     }
   }
   return combos;
@@ -67,12 +66,8 @@ namespace {
 
 RunResult run_combo_with(const Environment& env, const AlgorithmCombo& combo,
                          std::uint64_t run_seed, const SimOptions& options) {
-  Simulator simulator(env, options);
-  if (combo.fleet_policy) {
-    return simulator.run_fleet(combo.fleet_policy, combo.trader, run_seed,
-                               combo.name);
-  }
-  return simulator.run(combo.policy, combo.trader, run_seed, combo.name);
+  return Simulator(env, options)
+      .run(combo.policy, combo.trader, run_seed, combo.name);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "bandit/fleet_policy.h"
-#include "bandit/policy.h"
 #include "sim/environment.h"
 #include "sim/metrics.h"
 #include "trading/trader.h"
@@ -13,15 +12,13 @@
 namespace cea::sim {
 
 /// A named (model-selection, carbon-trading) pairing, e.g. "UCB-LY".
+/// `policy` builds one fleet-wide model-selection object: Algorithm 1 is
+/// the SoA-native core::BlockedTsallisFleetPolicy, and per-edge baselines
+/// run behind bandit::adapt_per_edge.
 struct AlgorithmCombo {
   std::string name;
-  bandit::PolicyFactory policy;
+  bandit::FleetPolicyFactory policy;
   trading::TraderFactory trader;
-  /// Optional SoA-native fleet implementation of `policy`, bit-identical
-  /// to it by contract (e.g. core::BlockedTsallisFleetPolicy). When set,
-  /// the runners below go through Simulator::run_fleet — one object for
-  /// the whole fleet instead of num_edges policy instances.
-  bandit::FleetPolicyFactory fleet_policy;
 };
 
 /// The paper's approach: Algorithm 1 + Algorithm 2.

@@ -17,20 +17,6 @@ trading::TraderContext Simulator::trader_context(
   return context;
 }
 
-bandit::PolicyContext Simulator::policy_context(std::size_t edge,
-                                                std::uint64_t run_seed) const {
-  bandit::PolicyContext context;
-  context.num_models = env_.num_models();
-  context.switching_cost = env_.switching_cost(edge);
-  context.energy_per_sample.reserve(env_.num_models());
-  for (const auto& model : env_.models())
-    context.energy_per_sample.push_back(model.energy_per_sample);
-  context.seed = bandit::policy_stream_seed(run_seed, edge);
-  context.horizon = env_.horizon();
-  context.edge = edge;
-  return context;
-}
-
 bandit::FleetPolicyContext Simulator::fleet_policy_context(
     std::uint64_t run_seed) const {
   bandit::FleetPolicyContext context;
@@ -47,22 +33,11 @@ bandit::FleetPolicyContext Simulator::fleet_policy_context(
   return context;
 }
 
-RunResult Simulator::run(const bandit::PolicyFactory& policy_factory,
+RunResult Simulator::run(const bandit::FleetPolicyFactory& policy_factory,
                          const trading::TraderFactory& trader_factory,
                          std::uint64_t run_seed,
                          std::string algorithm_name) const {
-  auto fleet = std::make_unique<bandit::PerEdgeFleetAdapter>(
-      policy_factory, fleet_policy_context(run_seed));
-  return run_impl(std::move(fleet), trader_factory, run_seed,
-                  std::move(algorithm_name), /*fixed_choices=*/false,
-                  nullptr);
-}
-
-RunResult Simulator::run_fleet(const bandit::FleetPolicyFactory& fleet_factory,
-                               const trading::TraderFactory& trader_factory,
-                               std::uint64_t run_seed,
-                               std::string algorithm_name) const {
-  auto fleet = fleet_factory(fleet_policy_context(run_seed));
+  auto fleet = policy_factory(fleet_policy_context(run_seed));
   assert(fleet != nullptr && fleet->num_edges() == env_.num_edges());
   return run_impl(std::move(fleet), trader_factory, run_seed,
                   std::move(algorithm_name), /*fixed_choices=*/false,

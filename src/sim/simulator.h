@@ -4,7 +4,6 @@
 #include <string>
 
 #include "bandit/fleet_policy.h"
-#include "bandit/policy.h"
 #include "sim/environment.h"
 #include "sim/metrics.h"
 #include "trading/trader.h"
@@ -54,8 +53,9 @@ struct SimOptions {
 /// Engine: all per-edge hot state (hoisted environment invariants, hosted
 /// model, per-slot partials) lives in an arena-backed structure-of-arrays
 /// FleetState reserved once per run, and model selection goes through a
-/// single bandit::FleetPolicy — either an SoA-native fleet (run_fleet) or
-/// per-edge policy instances behind bandit::PerEdgeFleetAdapter (run).
+/// single bandit::FleetPolicy — an SoA-native fleet such as Algorithm 1's
+/// core::BlockedTsallisFleetPolicy, or per-edge policy instances behind
+/// bandit::PerEdgeFleetAdapter (bandit::adapt_per_edge).
 /// Loss sampling is batched (LossProfile::draw_batch_keyed) with one RNG
 /// stream per (edge, slot) derived from the run seed, so sampling is a
 /// pure function of (run_seed, edge, t) and the pooled edge-sharded mode
@@ -66,21 +66,12 @@ class Simulator {
   explicit Simulator(const Environment& environment, SimOptions options = {})
       : env_(environment), options_(options) {}
 
-  /// Run one full horizon with fresh per-edge policy instances (wrapped in
-  /// a PerEdgeFleetAdapter). `run_seed` controls the run's stochasticity
-  /// (policy sampling and loss draws) independently of the environment
-  /// seed.
-  RunResult run(const bandit::PolicyFactory& policy_factory,
+  /// Run one full horizon with a fresh fleet policy. `run_seed` controls
+  /// the run's stochasticity (policy sampling and loss draws)
+  /// independently of the environment seed.
+  RunResult run(const bandit::FleetPolicyFactory& policy_factory,
                 const trading::TraderFactory& trader_factory,
                 std::uint64_t run_seed, std::string algorithm_name) const;
-
-  /// Run one full horizon with a fresh fleet policy — the SoA-native path
-  /// (e.g. core::BlockedTsallisFleetPolicy). Bit-identical to run() when
-  /// the fleet policy mirrors the per-edge policy's computation.
-  RunResult run_fleet(const bandit::FleetPolicyFactory& fleet_factory,
-                      const trading::TraderFactory& trader_factory,
-                      std::uint64_t run_seed,
-                      std::string algorithm_name) const;
 
   /// Run with fixed per-edge model choices (no learning) — used by the
   /// Offline reference and by ablations. The initial download at t=0 is
@@ -94,13 +85,8 @@ class Simulator {
   /// Build the TraderContext the trading policies receive.
   trading::TraderContext trader_context(std::uint64_t run_seed) const;
 
-  /// Build the PolicyContext for one edge.
-  bandit::PolicyContext policy_context(std::size_t edge,
-                                       std::uint64_t run_seed) const;
-
   /// Build the FleetPolicyContext for the whole fleet. Per-edge seeds are
-  /// derived from run_seed via bandit::policy_stream_seed, matching
-  /// policy_context(edge, run_seed).seed exactly.
+  /// derived from run_seed via bandit::policy_stream_seed.
   bandit::FleetPolicyContext fleet_policy_context(
       std::uint64_t run_seed) const;
 

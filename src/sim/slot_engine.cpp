@@ -94,19 +94,15 @@ SlotEngine::SlotEngine(const Environment& env, const SimOptions& options,
 void SlotEngine::run_edge(std::size_t i) {
   const std::size_t t = t_;
   const auto& config = env_.config();
-#if defined(CEA_TELEMETRY)
   std::int64_t obs_t0 = obs_detail_ ? obs::now_ns() : 0;
   double obs_bandit_ns = 0.0;
-#endif
   const std::size_t model =
       fixed_choices_ ? fixed_models_[i] : fleet_->select(i, t);
-#if defined(CEA_TELEMETRY)
   if (obs_detail_) {
     const std::int64_t now = obs::now_ns();
     obs_bandit_ns += static_cast<double>(now - obs_t0);
     obs_t0 = now;
   }
-#endif
   const std::size_t loss_model = shifted_ ? shift_target_[model] : model;
   // The initial download (previous_model == kNoModel) costs transfer
   // energy but is not a "switch": the paper charges y_i^t u_i only when
@@ -144,7 +140,6 @@ void SlotEngine::run_edge(std::size_t i) {
       draws > 0 ? static_cast<double>(batch.correct_count) /
                       static_cast<double>(draws)
                 : 0.0;
-#if defined(CEA_TELEMETRY)
   if (obs_detail_) {
     static const obs::MetricId obs_draws = obs::counter("sim.draws");
     obs::add(obs_draws, static_cast<double>(draws));
@@ -154,21 +149,18 @@ void SlotEngine::run_edge(std::size_t i) {
     obs::observe(obs_draw_hist, static_cast<double>(now - obs_t0));
     obs_t0 = now;
   }
-#endif
 
   // Bandit feedback: L_{i,J}^t + v_{i,J} (Insight 2).
   if (!fixed_choices_) {
     fleet_->feedback(i, t, model,
                      mean_sampled_loss + comp_cost_[i * num_models_ + model]);
   }
-#if defined(CEA_TELEMETRY)
   if (obs_detail_) {
     static const obs::MetricId obs_bandit_hist =
         obs::duration_histogram("sim.edge.bandit");
     obs_bandit_ns += static_cast<double>(obs::now_ns() - obs_t0);
     obs::observe(obs_bandit_hist, obs_bandit_ns);
   }
-#endif
 
   // Objective (1) charges the expectation E[l_n] + v_{i,n}.
   part_inference_[i] =
@@ -231,13 +223,11 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
   shifted_ = config.loss_shift_slot > 0 && t_ >= config.loss_shift_slot;
   slot_workload_ = slot_workload;
 
-#if defined(CEA_TELEMETRY)
   // Per-edge phase split (bandit select+feedback vs sample draws) is too
   // hot to time unconditionally — several clock reads per edge per slot —
   // so it rides behind the detail switch the --telemetry harness flips
   // on. Read once per slot, shared read-only with the pool workers.
   obs_detail_ = obs::detail_enabled();
-#endif
 
   {
     CEA_SPAN_DETAIL("sim.edges");
@@ -259,29 +249,21 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
   double slot_samples = 0.0;
   {
     CEA_SPAN_DETAIL("sim.reduce");
-#if defined(CEA_TELEMETRY)
-    double slot_switches = 0.0;
-#endif
+    const std::size_t switches_before = result_.total_switches;
     for (std::size_t i = 0; i < num_edges_; ++i) {
       slot_inference += part_inference_[i];
       slot_switch_cost += part_switch_cost_[i];
-      if (part_switched_[i]) {
-        ++result_.total_switches;
-#if defined(CEA_TELEMETRY)
-        slot_switches += 1.0;
-#endif
-      }
+      if (part_switched_[i]) ++result_.total_switches;
       ++result_.selection_counts[i][part_model_[i]];
       slot_energy_kwh += part_energy_[i];
       weighted_correct += part_correct_[i];
       slot_samples += part_samples_[i];
     }
-#if defined(CEA_TELEMETRY)
     if (obs_detail_) {
       static const obs::MetricId obs_switches = obs::counter("sim.switches");
-      obs::add(obs_switches, slot_switches);
+      obs::add(obs_switches,
+               static_cast<double>(result_.total_switches - switches_before));
     }
-#endif
   }
 
   const double emission = config.emission_rate * slot_energy_kwh;
@@ -354,7 +336,6 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
     trader_->feedback(t_, emission, quote, trade);
   }
 
-#if defined(CEA_TELEMETRY)
   // Decision journal hook: one snapshot per slot, only when someone is
   // attached (the daemon; batch runs and perf_fleet attach nothing, so
   // this is one null check on their hot path). Every value is already
@@ -383,7 +364,6 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
     observed.workload = result_.workload.back();
     observer_->on_slot(observed);
   }
-#endif
 
   slot_workload_ = nullptr;
   ++t_;

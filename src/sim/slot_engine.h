@@ -40,7 +40,6 @@
 
 namespace cea::sim {
 
-#if defined(CEA_TELEMETRY)
 /// Per-slot decision snapshot handed to an attached SlotObserver at the
 /// very end of finish_slot (after the trader feedback, before the cursor
 /// advances). Every field comes out of the serial edge-ordered reduction,
@@ -76,7 +75,6 @@ class SlotObserver {
   virtual ~SlotObserver() = default;
   virtual void on_slot(const SlotObservation& observed) = 0;
 };
-#endif  // CEA_TELEMETRY
 
 class SlotEngine {
  public:
@@ -116,12 +114,9 @@ class SlotEngine {
   void finish_slot(const trading::TradeObservation& quote,
                    trading::TradeDecision trade, const int* slot_workload);
 
-#if defined(CEA_TELEMETRY)
   /// Attach (or detach with nullptr) the per-slot decision observer. The
-  /// observer must outlive the engine or be detached first. Compiled out
-  /// under -DCEA_TELEMETRY=OFF along with the hook itself.
+  /// observer must outlive the engine or be detached first.
   void set_observer(SlotObserver* observer) { observer_ = observer; }
-#endif
 
   /// Slots executed so far, as a RunResult (series have length slot()).
   const RunResult& result() noexcept;
@@ -185,11 +180,9 @@ class SlotEngine {
   std::size_t t_ = 0;
   bool shifted_ = false;
   const int* slot_workload_ = nullptr;
-#if defined(CEA_TELEMETRY)
   bool obs_detail_ = false;
   SlotObserver* observer_ = nullptr;
   std::vector<std::uint64_t> obs_model_counts_;  ///< per-slot scratch
-#endif
 
   // Hoisted shard closure: no std::function construction per slot.
   std::function<void(std::size_t, std::size_t)> shard_task_;

@@ -122,15 +122,11 @@ void ThreadPool::parallel_for(std::size_t n,
   // pool has no task queue — indices are claimed from a shared counter —
   // so job size is the queue-depth analog.
   CEA_SPAN("pool.job");
-#if defined(CEA_TELEMETRY)
-  {
-    static const double kSizeEdges[] = {1,  2,   4,   8,    16,  32,
-                                        64, 128, 256, 1024, 4096};
-    static const obs::MetricId obs_size =
-        obs::histogram("pool.job_size", kSizeEdges);
-    obs::observe(obs_size, static_cast<double>(n));
-  }
-#endif
+  CEA_TELEM(static const double kSizeEdges[] = {1,  2,   4,   8,    16,  32,
+                                                64, 128, 256, 1024, 4096};
+            static const obs::MetricId obs_size =
+                obs::histogram("pool.job_size", kSizeEdges);
+            obs::observe(obs_size, static_cast<double>(n)););
 
   std::lock_guard<std::mutex> submit_lock(submit_mutex_);
   std::uint64_t epoch_tag;

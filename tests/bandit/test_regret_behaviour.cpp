@@ -7,12 +7,12 @@
 #include <string>
 #include <vector>
 
+#include "../core/blocked_tsallis_inf.h"
 #include "bandit/policy.h"
 #include "bandit/random_policy.h"
 #include "bandit/thompson.h"
 #include "bandit/tsallis_inf.h"
 #include "bandit/ucb2.h"
-#include "core/blocked_tsallis_inf.h"
 #include "util/rng.h"
 
 namespace cea::bandit {
@@ -81,6 +81,8 @@ INSTANTIATE_TEST_SUITE_P(
         PolicyCase{"UCB2", Ucb2Policy::factory(), true},
         PolicyCase{"TsallisINF", TsallisInfPolicy::factory(), true},
         PolicyCase{"Thompson", ThompsonSamplingPolicy::factory(), true},
+        // Algorithm 1 through its per-edge test oracle, which the SoA
+        // fleet matches bit for bit (core/test_blocked_tsallis_fleet.cpp).
         // The discounted variant is intentionally absent: its geometric
         // forgetting buys drift tracking at the price of linear stationary
         // regret (see core/test_blocked_tsallis.cpp for its contract).

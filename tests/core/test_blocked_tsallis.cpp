@@ -1,4 +1,4 @@
-#include "core/blocked_tsallis_inf.h"
+#include "blocked_tsallis_inf.h"
 
 #include <gtest/gtest.h>
 

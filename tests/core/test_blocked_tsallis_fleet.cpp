@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "bandit/fleet_policy.h"
-#include "core/blocked_tsallis_inf.h"
+#include "blocked_tsallis_inf.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -40,7 +40,7 @@ double loss_for(std::size_t edge, std::size_t t, std::size_t arm) {
 }
 
 /// Drives the SoA fleet and a PerEdgeFleetAdapter over per-edge
-/// BlockedTsallisInfPolicy instances in lockstep, asserting bit-equality of
+/// BlockedTsallisInfPolicy oracles in lockstep, asserting bit-equality of
 /// every arm, probability table and cumulative-loss table. `use_presolve`
 /// additionally checks the next_solve descriptions agree field for field
 /// (both sides then solve internally, which the batch path reproduces).
@@ -140,8 +140,9 @@ TEST(BlockedTsallisFleet, SeedsMatchPolicyStreamSeed) {
 }
 
 TEST(BlockedTsallisFleet, SimulatorRunFleetMatchesRun) {
-  // Through the full simulator: run() over per-edge instances and
-  // run_fleet() over the SoA fleet must produce bit-identical RunResults.
+  // Through the full simulator, with its cross-edge presolve: the SoA
+  // fleet that ours_combo() runs and the per-edge oracles behind the
+  // adapter must produce bit-identical RunResults.
   sim::SimConfig config;
   config.num_edges = 8;
   config.horizon = 80;
@@ -152,9 +153,9 @@ TEST(BlockedTsallisFleet, SimulatorRunFleetMatchesRun) {
   const auto combo = sim::ours_combo();
   const sim::Simulator simulator(env);
   const auto per_edge =
-      simulator.run(combo.policy, combo.trader, 5, combo.name);
-  const auto fleet =
-      simulator.run_fleet(combo.fleet_policy, combo.trader, 5, combo.name);
+      simulator.run(bandit::adapt_per_edge(BlockedTsallisInfPolicy::factory()),
+                    combo.trader, 5, combo.name);
+  const auto fleet = simulator.run(combo.policy, combo.trader, 5, combo.name);
   EXPECT_EQ(per_edge.inference_cost, fleet.inference_cost);
   EXPECT_EQ(per_edge.switching_cost, fleet.switching_cost);
   EXPECT_EQ(per_edge.trading_cost, fleet.trading_cost);

@@ -76,8 +76,9 @@ TEST(PooledTsallis, ConvergesFasterThanIndependentLearning) {
   config.seed = 31;
   const auto env = sim::Environment::make_parametric(config);
 
-  const sim::AlgorithmCombo pooled{"Pooled", pooled_tsallis_factory(),
-                                   sim::ours_combo().trader};
+  const sim::AlgorithmCombo pooled{
+      "Pooled", bandit::adapt_per_edge(pooled_tsallis_factory()),
+      sim::ours_combo().trader};
   // Serial averaging only (see pooled_tsallis_factory docs).
   const auto pooled_result = sim::run_combo_averaged(env, pooled, 5, 7);
   const auto independent =

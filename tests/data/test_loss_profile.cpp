@@ -23,8 +23,12 @@ TEST(LossProfile, DrawReturnsTableEntries) {
     const LossDraw draw = profile.draw(rng);
     EXPECT_TRUE(draw.loss == 0.25 || draw.loss == 0.75);
     // correctness must be consistent with the paired loss entry
-    if (draw.loss == 0.25) EXPECT_TRUE(draw.correct);
-    if (draw.loss == 0.75) EXPECT_FALSE(draw.correct);
+    if (draw.loss == 0.25) {
+      EXPECT_TRUE(draw.correct);
+    }
+    if (draw.loss == 0.75) {
+      EXPECT_FALSE(draw.correct);
+    }
   }
 }
 

@@ -211,7 +211,9 @@ TEST(KeyedWorkload, ZipfScalesAverageToOneAndDecay) {
   for (std::size_t e = 0; e < edges; ++e) {
     const double s = zipf_scale(e, edges, 1.1);
     total += s;
-    if (e > 0) EXPECT_LT(s, zipf_scale(e - 1, edges, 1.1));
+    if (e > 0) {
+      EXPECT_LT(s, zipf_scale(e - 1, edges, 1.1));
+    }
   }
   EXPECT_NEAR(total / static_cast<double>(edges), 1.0, 1e-9);
 }

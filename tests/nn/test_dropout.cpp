@@ -44,7 +44,9 @@ TEST(Dropout, SurvivorsScaledToPreserveExpectation) {
   const Tensor out = dropout.forward(in);
   double total = 0.0;
   for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i] != 0.0f) EXPECT_NEAR(out[i], 1.0f / 0.75f, 1e-5f);
+    if (out[i] != 0.0f) {
+      EXPECT_NEAR(out[i], 1.0f / 0.75f, 1e-5f);
+    }
     total += out[i];
   }
   EXPECT_NEAR(total / 20000.0, 1.0, 0.03);  // inverted-dropout invariance

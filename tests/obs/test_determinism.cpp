@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../core/blocked_tsallis_inf.h"
+#include "bandit/fleet_policy.h"
 #include "obs/telemetry.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
@@ -93,15 +95,15 @@ TEST_F(TelemetryDeterminism, TracingAndDetailDoNotPerturbPooledRun) {
 }
 
 TEST_F(TelemetryDeterminism, BlockScheduleMetricsMatchAcrossPolicyPaths) {
-  // Both Algorithm 1 implementations export the block schedule: the SoA
-  // fleet (Simulator::run_fleet, every Ours run and the daemon) and the
-  // per-edge policies (Simulator::run) must report the same block count
-  // and block-length histogram, and recording them changes no result bit.
+  // The SoA fleet (every Ours run and the daemon) exports the block
+  // schedule: it must report the same block count and block-length
+  // histogram as the per-edge test oracle behind the fleet adapter, and
+  // recording them changes no result bit.
   const auto env = Environment::make_parametric(small_config());
   const auto combo = ours_combo();
   const Simulator simulator(env);
   const RunResult quiet =
-      simulator.run_fleet(combo.fleet_policy, combo.trader, 5, combo.name);
+      simulator.run(combo.policy, combo.trader, 5, combo.name);
 
   obs::set_detail(true);
   struct BlockMetrics {
@@ -119,11 +121,12 @@ TEST_F(TelemetryDeterminism, BlockScheduleMetricsMatchAcrossPolicyPaths) {
   };
   obs::reset();
   const RunResult fleet =
-      simulator.run_fleet(combo.fleet_policy, combo.trader, 5, combo.name);
+      simulator.run(combo.policy, combo.trader, 5, combo.name);
   const BlockMetrics fleet_metrics = block_metrics();
   obs::reset();
-  const RunResult per_edge =
-      simulator.run(combo.policy, combo.trader, 5, combo.name);
+  const RunResult per_edge = simulator.run(
+      bandit::adapt_per_edge(core::BlockedTsallisInfPolicy::factory()),
+      combo.trader, 5, combo.name);
   const BlockMetrics per_edge_metrics = block_metrics();
 
   expect_bit_identical(quiet, fleet);

@@ -243,7 +243,9 @@ TEST_F(Telemetry, InternIsStableAndDeduplicated) {
 TEST_F(Telemetry, DetailSwitchTogglesButDefaultsOff) {
   EXPECT_FALSE(detail_enabled());
   set_detail(true);
-  if (compiled_in()) EXPECT_TRUE(detail_enabled());
+  if (compiled_in()) {
+    EXPECT_TRUE(detail_enabled());
+  }
   set_detail(false);
   EXPECT_FALSE(detail_enabled());
 }

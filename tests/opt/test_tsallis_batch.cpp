@@ -69,7 +69,7 @@ std::vector<Request> random_requests(std::mt19937_64& rng, std::size_t count,
       req.warm = 0.0;  // cold start
     } else if (warm_kind < 0.7) {
       // Fresh hint: the scaled root of this very problem.
-      std::vector<double> p, scratch;
+      std::vector<double> p(n), scratch;
       double warm = 0.0;
       tsallis_probabilities_into(req.losses, req.eta, p, scratch, &warm);
       req.warm = warm;
@@ -90,6 +90,7 @@ void expect_matches_oracle(const std::vector<Request>& requests) {
   std::vector<double> scratch;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     double warm = requests[i].warm;
+    expected_p[i].resize(requests[i].losses.size());
     tsallis_probabilities_into(requests[i].losses, requests[i].eta,
                                expected_p[i], scratch, &warm);
     // The oracle leaves a single-arm caller's hint untouched.
@@ -192,6 +193,7 @@ TEST(TsallisBatch, SolverIsReusableAcrossClearCycles) {
     std::vector<double> scratch;
     for (std::size_t i = 0; i < requests.size(); ++i) {
       double warm = requests[i].warm;
+      expected[i].resize(requests[i].losses.size());
       tsallis_probabilities_into(requests[i].losses, requests[i].eta,
                                  expected[i], scratch, &warm);
     }

@@ -68,8 +68,6 @@ std::string read_bytes(const std::string& path) {
   return buffer.str();
 }
 
-#if defined(CEA_TELEMETRY)
-
 DaemonReport run_daemon(const std::vector<TenantSpec>& specs,
                         const sim::SimOptions& options, std::uint64_t feed_seed,
                         std::size_t edges, DaemonConfig config) {
@@ -327,27 +325,6 @@ TEST(MetricsExposition, TcpEndpointServesTheLatestPage) {
   EXPECT_NE(response.find("text/plain; version=0.0.4"), std::string::npos);
   EXPECT_NE(response.find("cea_up 1\n"), std::string::npos);
 }
-
-#else  // !CEA_TELEMETRY
-
-TEST(DecisionJournal, ConfigIsInertWhenTelemetryCompiledOut) {
-  // Under -DCEA_TELEMETRY=OFF the observability config fields exist but
-  // attach nothing: the daemon runs normally and writes no journal.
-  const std::string dir = temp_dir("off");
-  ServeController controller({make_spec("t0", 17, 7, 8)}, sim::SimOptions{});
-  SyntheticFeed feed(3, 3);
-  DaemonConfig config;
-  config.max_slots = 8;
-  config.journal_dir = dir;
-  ServeDaemon daemon(controller, feed, config);
-  const DaemonReport report = daemon.run();
-  EXPECT_EQ(report.slots_processed, 8u);
-  EXPECT_EQ(report.journal_records, 0u);
-  EXPECT_TRUE(obs::read_journal_lines(dir).empty());
-  remove_dir(dir);
-}
-
-#endif  // CEA_TELEMETRY
 
 }  // namespace
 }  // namespace cea::serve

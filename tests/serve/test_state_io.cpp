@@ -245,8 +245,9 @@ std::vector<serve::TenantSpec> hostile_specs() {
   return specs;
 }
 
-std::string hostile_payload() {
-  serve::ServeController controller(hostile_specs(), sim::SimOptions{});
+std::string hostile_payload(
+    const std::vector<serve::TenantSpec>& specs = hostile_specs()) {
+  serve::ServeController controller(specs, sim::SimOptions{});
   serve::SyntheticFeed feed(controller.total_edges(), 9);
   serve::SlotInput input;
   while (controller.slot() < 5) {
@@ -340,6 +341,69 @@ TEST(StateIoHostile, ForgedCountThrowsBeforeAllocating) {
       StateReader(with_count(text.payload(), kForged)).read_string("v"),
       StateError);
   EXPECT_THROW(dump_state(forged), StateError);
+}
+
+// Overwrite element `index` of the first u64 or u64[] record named `key`,
+// leaving every other byte alone.
+std::string with_u64(std::string payload, std::string_view key,
+                     std::size_t index, std::uint64_t value) {
+  StateReader reader(payload);
+  while (!reader.at_end()) {
+    const StateRecord record = reader.next_record();
+    if (record.key != key) continue;
+    const std::size_t at =
+        static_cast<std::size_t>(record.value.data() - payload.data()) +
+        index * sizeof value;
+    std::memcpy(payload.data() + at, &value, sizeof value);
+    return payload;
+  }
+  ADD_FAILURE() << "payload has no record " << key;
+  return payload;
+}
+
+TEST(StateIoHostile, FleetCursorFieldsAreRangeCheckedBeforeNarrowing) {
+  // The SoA fleet stores these fields in 32- and 8-bit arrays. Each forged
+  // value below would narrow to an in-range one (2^32 + 1 to arm 1, 256 to
+  // a closed block), so only a check on the checkpointed value rejects it.
+  constexpr std::uint64_t k2to32 = std::uint64_t{1} << 32;
+  const std::vector<std::pair<std::string, std::uint64_t>> forgeries = {
+      {"btfleet.current_arm", k2to32 + 1}, {"btfleet.block_index", k2to32 + 7},
+      {"btfleet.slots_left", k2to32 + 3},  {"btfleet.block_open", 256},
+      {"btfleet.presolved", 2},
+  };
+  const std::string payload = hostile_payload();
+  serve::ServeController controller(hostile_specs(), sim::SimOptions{});
+  for (const auto& [key, value] : forgeries) {
+    EXPECT_THROW(controller.restore_payload(with_u64(payload, key, 0, value)),
+                 StateError)
+        << key << " = " << value;
+  }
+  controller.restore_payload(payload);
+  EXPECT_EQ(controller.checkpoint_payload(), payload);
+}
+
+TEST(StateIoHostile, ForgedUcbArmAndEpochCountThrow) {
+  // UCB-LY tenants: per-edge UCB2 policies behind the fleet adapter. A
+  // forged arm with plays left would be handed to the engine's per-model
+  // tables on the next step; a forged epoch count would overflow the
+  // integer epoch length select() computes from it.
+  auto specs = hostile_specs();
+  for (const auto& combo : sim::baseline_combos()) {
+    if (combo.name != "UCB-LY") continue;
+    for (auto& spec : specs) spec.combo = combo;
+  }
+  ASSERT_EQ(specs.front().combo.name, "UCB-LY");
+  const std::string payload = hostile_payload(specs);
+  serve::ServeController controller(specs, sim::SimOptions{});
+  const std::string forged_arm = with_u64(
+      with_u64(payload, "ucb2.current_arm", 0, 1000000),
+      "ucb2.remaining_plays", 0, 5);
+  EXPECT_THROW(controller.restore_payload(forged_arm), StateError);
+  EXPECT_THROW(
+      controller.restore_payload(with_u64(payload, "ucb2.epochs", 0, 1700)),
+      StateError);
+  controller.restore_payload(payload);
+  EXPECT_EQ(controller.checkpoint_payload(), payload);
 }
 
 TEST(StateIoHostile, KeyLengthPastTheEndThrows) {

@@ -5,8 +5,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "bandit/fleet_policy.h"
 #include "bandit/random_policy.h"
-#include "core/blocked_tsallis_inf.h"
+#include "core/blocked_tsallis_fleet.h"
 #include "core/carbon_trader.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
@@ -14,6 +15,11 @@
 
 namespace cea::sim {
 namespace {
+
+// Random selection runs behind the per-edge fleet adapter.
+bandit::FleetPolicyFactory random_policy() {
+  return bandit::adapt_per_edge(bandit::RandomPolicy::factory());
+}
 
 SimConfig audit_config() {
   SimConfig config;
@@ -41,7 +47,7 @@ class AuditRun : public ::testing::Test {
 TEST_F(AuditRun, CleanOnValidRun) {
   const auto env = Environment::make_parametric(audit_config());
   Simulator simulator(env);
-  const auto result = simulator.run(core::BlockedTsallisInfPolicy::factory(),
+  const auto result = simulator.run(core::BlockedTsallisFleetPolicy::factory(),
                                     core::OnlineCarbonTrader::factory(), 1,
                                     "Ours");
   const auto violations = audit_run(env, result);
@@ -66,7 +72,7 @@ TEST_F(AuditRun, CleanOnAveragedRun) {
 TEST_F(AuditRun, DetectsTamperedTradingCost) {
   const auto env = Environment::make_parametric(audit_config());
   Simulator simulator(env);
-  auto result = simulator.run(bandit::RandomPolicy::factory(),
+  auto result = simulator.run(random_policy(),
                               trading::RandomTrader::factory(), 4, "x");
   audit::clear();  // keep only the tamper-induced violations
   result.trading_cost[7] += 0.5;
@@ -89,7 +95,7 @@ TEST_F(AuditRun, DetectsLedgerBreakViaViolationMismatch) {
   config.clamp_sales_to_holdings = true;
   const auto env = Environment::make_parametric(config);
   Simulator simulator(env);
-  auto result = simulator.run(core::BlockedTsallisInfPolicy::factory(),
+  auto result = simulator.run(core::BlockedTsallisFleetPolicy::factory(),
                               core::OnlineCarbonTrader::factory(), 5, "Ours");
   audit::clear();
   result.sells[3] += 1e6;
@@ -102,7 +108,7 @@ TEST_F(AuditRun, DetectsLedgerBreakViaViolationMismatch) {
 TEST_F(AuditRun, DetectsOutOfBoxTrade) {
   const auto env = Environment::make_parametric(audit_config());
   Simulator simulator(env);
-  auto result = simulator.run(bandit::RandomPolicy::factory(),
+  auto result = simulator.run(random_policy(),
                               trading::RandomTrader::factory(), 6, "x");
   audit::clear();
   result.buys[2] = env.config().max_trade_per_slot + 1.0;
@@ -116,7 +122,7 @@ TEST_F(AuditRun, DetectsOutOfBoxTrade) {
 TEST_F(AuditRun, DetectsSwitchCountAboveBound) {
   const auto env = Environment::make_parametric(audit_config());
   Simulator simulator(env);
-  auto result = simulator.run(bandit::RandomPolicy::factory(),
+  auto result = simulator.run(random_policy(),
                               trading::RandomTrader::factory(), 7, "x");
   audit::clear();
   result.total_switches = env.num_edges() * env.horizon();  // > I*(T-1)
@@ -126,7 +132,7 @@ TEST_F(AuditRun, DetectsSwitchCountAboveBound) {
 TEST_F(AuditRun, MirrorsIntoGlobalCollector) {
   const auto env = Environment::make_parametric(audit_config());
   Simulator simulator(env);
-  auto result = simulator.run(bandit::RandomPolicy::factory(),
+  auto result = simulator.run(random_policy(),
                               trading::RandomTrader::factory(), 8, "x");
   audit::clear();
   result.trading_cost[0] += 1.0;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 
+#include "bandit/fleet_policy.h"
 #include "bandit/random_policy.h"
 #include "core/regret.h"
 #include "sim/experiment.h"
@@ -13,6 +14,11 @@
 
 namespace cea::sim {
 namespace {
+
+// Random selection runs behind the per-edge fleet adapter.
+bandit::FleetPolicyFactory random_policy() {
+  return bandit::adapt_per_edge(bandit::RandomPolicy::factory());
+}
 
 SimConfig tiny_config() {
   SimConfig config;
@@ -27,7 +33,7 @@ SimConfig tiny_config() {
 TEST(EdgeCases, SingleSlotSingleEdge) {
   const auto env = Environment::make_parametric(tiny_config());
   Simulator simulator(env);
-  const auto result = simulator.run(bandit::RandomPolicy::factory(),
+  const auto result = simulator.run(random_policy(),
                                     trading::RandomTrader::factory(), 1, "x");
   EXPECT_EQ(result.horizon(), 1u);
   EXPECT_EQ(result.total_switches, 0u);  // initial download is not a switch
@@ -95,7 +101,7 @@ TEST(EdgeCases, SalesClampedToHoldings) {
     };
     return std::make_unique<Seller>(context.max_trade_per_slot);
   };
-  const auto result = simulator.run(bandit::RandomPolicy::factory(),
+  const auto result = simulator.run(random_policy(),
                                     always_sell, 5, "seller");
   // Total sold cannot exceed initial cap (emissions only reduce holdings).
   EXPECT_LE(result.total_sells(), config.carbon_cap + 1e-9);
@@ -123,7 +129,7 @@ TEST(EdgeCases, UnclampedSalesAllowed) {
     };
     return std::make_unique<Seller>(context.max_trade_per_slot);
   };
-  const auto result = simulator.run(bandit::RandomPolicy::factory(),
+  const auto result = simulator.run(random_policy(),
                                     always_sell, 5, "seller");
   EXPECT_GT(result.total_sells(), config.carbon_cap);
 }

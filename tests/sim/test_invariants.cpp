@@ -6,8 +6,9 @@
 #include <ostream>
 #include <string>
 
+#include "bandit/fleet_policy.h"
 #include "bandit/random_policy.h"
-#include "core/blocked_tsallis_inf.h"
+#include "core/blocked_tsallis_fleet.h"
 #include "core/carbon_trader.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
@@ -54,12 +55,13 @@ class SimulatorInvariants : public ::testing::TestWithParam<ScenarioCase> {
 TEST_P(SimulatorInvariants, AccountingIdentitiesHold) {
   const auto env = make_env();
   Simulator simulator(env);
-  const std::vector<std::pair<bandit::PolicyFactory,
+  const std::vector<std::pair<bandit::FleetPolicyFactory,
                               trading::TraderFactory>> algos = {
-      {bandit::RandomPolicy::factory(), trading::RandomTrader::factory()},
-      {core::BlockedTsallisInfPolicy::factory(),
+      {bandit::adapt_per_edge(bandit::RandomPolicy::factory()),
+       trading::RandomTrader::factory()},
+      {core::BlockedTsallisFleetPolicy::factory(),
        core::OnlineCarbonTrader::factory()},
-      {core::BlockedTsallisInfPolicy::factory(),
+      {core::BlockedTsallisFleetPolicy::factory(),
        trading::LyapunovTrader::factory()},
   };
   for (std::size_t a = 0; a < algos.size(); ++a) {

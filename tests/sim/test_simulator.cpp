@@ -2,14 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include "bandit/fleet_policy.h"
 #include "bandit/greedy_policy.h"
 #include "bandit/random_policy.h"
-#include "core/blocked_tsallis_inf.h"
+#include "core/blocked_tsallis_fleet.h"
 #include "core/carbon_trader.h"
 #include "trading/random_trader.h"
 
 namespace cea::sim {
 namespace {
+
+// The per-edge baselines run behind the fleet adapter.
+bandit::FleetPolicyFactory random_policy() {
+  return bandit::adapt_per_edge(bandit::RandomPolicy::factory());
+}
+
+bandit::FleetPolicyFactory greedy_policy() {
+  return bandit::adapt_per_edge(bandit::GreedyEnergyPolicy::factory());
+}
 
 SimConfig small_config() {
   SimConfig config;
@@ -25,7 +35,7 @@ SimConfig small_config() {
 TEST(Simulator, SeriesHaveHorizonLength) {
   const auto env = Environment::make_parametric(small_config());
   Simulator simulator(env);
-  const auto result = simulator.run(bandit::RandomPolicy::factory(),
+  const auto result = simulator.run(random_policy(),
                                     trading::RandomTrader::factory(), 1,
                                     "Ran-Ran");
   EXPECT_EQ(result.horizon(), 50u);
@@ -38,7 +48,7 @@ TEST(Simulator, SeriesHaveHorizonLength) {
 TEST(Simulator, SelectionCountsSumToHorizon) {
   const auto env = Environment::make_parametric(small_config());
   Simulator simulator(env);
-  const auto result = simulator.run(bandit::RandomPolicy::factory(),
+  const auto result = simulator.run(random_policy(),
                                     trading::RandomTrader::factory(), 2,
                                     "Ran-Ran");
   for (const auto& counts : result.selection_counts) {
@@ -54,9 +64,9 @@ TEST(Simulator, EmissionsPositiveAndScaleWithRate) {
   config.emission_rate *= 2.0;
   const auto env2 = Environment::make_parametric(config);
   Simulator sim1(env1), sim2(env2);
-  const auto r1 = sim1.run(bandit::GreedyEnergyPolicy::factory(),
+  const auto r1 = sim1.run(greedy_policy(),
                            trading::RandomTrader::factory(), 3, "a");
-  const auto r2 = sim2.run(bandit::GreedyEnergyPolicy::factory(),
+  const auto r2 = sim2.run(greedy_policy(),
                            trading::RandomTrader::factory(), 3, "b");
   EXPECT_GT(r1.total_emissions(), 0.0);
   EXPECT_NEAR(r2.total_emissions(), 2.0 * r1.total_emissions(),
@@ -66,7 +76,7 @@ TEST(Simulator, EmissionsPositiveAndScaleWithRate) {
 TEST(Simulator, GreedyNeverSwitchesAfterFirstSlot) {
   const auto env = Environment::make_parametric(small_config());
   Simulator simulator(env);
-  const auto result = simulator.run(bandit::GreedyEnergyPolicy::factory(),
+  const auto result = simulator.run(greedy_policy(),
                                     trading::RandomTrader::factory(), 4,
                                     "Greedy-Ran");
   // The initial download is not a switch: greedy holds one model forever,
@@ -79,7 +89,7 @@ TEST(Simulator, GreedyNeverSwitchesAfterFirstSlot) {
 TEST(Simulator, RandomPolicySwitchesOften) {
   const auto env = Environment::make_parametric(small_config());
   Simulator simulator(env);
-  const auto result = simulator.run(bandit::RandomPolicy::factory(),
+  const auto result = simulator.run(random_policy(),
                                     trading::RandomTrader::factory(), 5,
                                     "Ran-Ran");
   // 6 models: expect ~5/6 switch probability per slot per edge.
@@ -89,7 +99,7 @@ TEST(Simulator, RandomPolicySwitchesOften) {
 TEST(Simulator, AccuracyWithinUnitInterval) {
   const auto env = Environment::make_parametric(small_config());
   Simulator simulator(env);
-  const auto result = simulator.run(bandit::RandomPolicy::factory(),
+  const auto result = simulator.run(random_policy(),
                                     trading::RandomTrader::factory(), 6,
                                     "Ran-Ran");
   for (double a : result.accuracy) {
@@ -101,9 +111,9 @@ TEST(Simulator, AccuracyWithinUnitInterval) {
 TEST(Simulator, DeterministicForSameRunSeed) {
   const auto env = Environment::make_parametric(small_config());
   Simulator simulator(env);
-  const auto a = simulator.run(core::BlockedTsallisInfPolicy::factory(),
+  const auto a = simulator.run(core::BlockedTsallisFleetPolicy::factory(),
                                core::OnlineCarbonTrader::factory(), 7, "Ours");
-  const auto b = simulator.run(core::BlockedTsallisInfPolicy::factory(),
+  const auto b = simulator.run(core::BlockedTsallisFleetPolicy::factory(),
                                core::OnlineCarbonTrader::factory(), 7, "Ours");
   EXPECT_EQ(a.inference_cost, b.inference_cost);
   EXPECT_EQ(a.buys, b.buys);
@@ -113,9 +123,9 @@ TEST(Simulator, DeterministicForSameRunSeed) {
 TEST(Simulator, DifferentRunSeedsDiffer) {
   const auto env = Environment::make_parametric(small_config());
   Simulator simulator(env);
-  const auto a = simulator.run(bandit::RandomPolicy::factory(),
+  const auto a = simulator.run(random_policy(),
                                trading::RandomTrader::factory(), 8, "x");
-  const auto b = simulator.run(bandit::RandomPolicy::factory(),
+  const auto b = simulator.run(random_policy(),
                                trading::RandomTrader::factory(), 9, "x");
   EXPECT_NE(a.selection_counts, b.selection_counts);
 }
@@ -137,7 +147,7 @@ TEST(Simulator, RunFixedHoldsChoices) {
 TEST(Simulator, TradingCostMatchesDecisionsAndPrices) {
   const auto env = Environment::make_parametric(small_config());
   Simulator simulator(env);
-  const auto result = simulator.run(bandit::GreedyEnergyPolicy::factory(),
+  const auto result = simulator.run(greedy_policy(),
                                     trading::RandomTrader::factory(), 11,
                                     "g");
   for (std::size_t t = 0; t < result.horizon(); ++t) {
@@ -169,7 +179,7 @@ TEST(Simulator, LossDrawCapZeroDrawsAllSamples) {
   config.workload.mean_samples = 50.0;  // keep it cheap
   const auto env = Environment::make_parametric(config);
   Simulator simulator(env);
-  const auto result = simulator.run(bandit::GreedyEnergyPolicy::factory(),
+  const auto result = simulator.run(greedy_policy(),
                                     trading::RandomTrader::factory(), 13,
                                     "g");
   EXPECT_EQ(result.horizon(), config.horizon);
