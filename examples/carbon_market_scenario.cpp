@@ -41,6 +41,7 @@ int main() {
     std::vector<std::size_t> best(env.num_edges());
     for (std::size_t i = 0; i < env.num_edges(); ++i)
       best[i] = env.best_model(i);
+    const bandit::FleetPolicyFactory fixed = bandit::fixed_policy(best);
 
     const std::vector<TraderRow> traders = {
         {"OnlinePD (ours)", core::OnlineCarbonTrader::factory()},
@@ -54,7 +55,7 @@ int main() {
                  "unit cost"});
     sim::RunResult reference;
     for (const auto& row : traders) {
-      const auto result = simulator.run_fixed(best, row.factory, 3, row.name);
+      const auto result = simulator.run(fixed, row.factory, 3, row.name);
       table.add_row(row.name,
                     {result.total_trading_cost(),
                      result.total_buys() - result.total_sells(),

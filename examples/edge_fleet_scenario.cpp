@@ -1,10 +1,11 @@
 // Edge-fleet scenario: drives sim::SlotEngine, the one implementation of
-// the per-slot protocol of Fig. 2, slot by slot through its split-phase
-// API — the integration surface the serving daemon uses. begin_slot hands
-// the slot's price quote to Algorithm 2 and returns its trade decision;
-// finish_slot has every edge's Algorithm 1 policy pick a model, streams
-// the slot's samples through it, feeds the losses back, and settles the
-// allowance ledger and the trader.
+// the per-slot protocol of Fig. 2, slot by slot — the integration surface
+// the batch Simulator and the serving daemon both use. The caller supplies
+// every input of a slot: begin_slot hands the slot's price quote to
+// Algorithm 2 and returns its trade decision; finish_slot takes that trade
+// and one arrival count per edge, has every edge's Algorithm 1 policy pick
+// a model, streams the slot's samples through it, feeds the losses back,
+// and settles the allowance ledger and the trader.
 //
 // A fleet of heterogeneous edges serves diurnal workloads; the controller
 // learns the best model per edge while trading allowances online.
@@ -13,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/blocked_tsallis_fleet.h"
 #include "core/carbon_trader.h"
@@ -44,16 +46,19 @@ int main() {
   sim::SlotEngine engine(env, sim::SimOptions{}, std::move(fleet),
                          std::move(trader), kRunSeed, "Ours");
 
+  std::vector<int> arrivals(env.num_edges());
   for (std::size_t t = 0; t < env.horizon(); ++t) {
     // Step 1: the slot's market quote; Algorithm 2 decides the trade.
     const trading::TradeObservation quote{env.prices().buy[t],
                                           env.prices().sell[t]};
     const trading::TradeDecision trade = engine.begin_slot(quote);
-    // Steps 2-4: model placement, inference over the slot's arrivals (the
-    // environment's workload trace; the empirical loss profiles play the
-    // role of real inference — see nn_inference_demo for live networks),
-    // bandit feedback, and the ledger and dual updates.
-    engine.finish_slot(quote, trade, nullptr);
+    // Steps 2-4: model placement, inference over the slot's arrivals (here
+    // the environment's workload trace; the empirical loss profiles play
+    // the role of real inference — see nn_inference_demo for live
+    // networks), bandit feedback, and the ledger and dual updates.
+    for (std::size_t i = 0; i < env.num_edges(); ++i)
+      arrivals[i] = env.workload()[i][t];
+    engine.finish_slot(quote, trade, arrivals);
   }
   const sim::RunResult& result = engine.result();
 

@@ -1,6 +1,8 @@
 #include "bandit/fleet_policy.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <utility>
 
 #include "util/state_io.h"
 
@@ -62,6 +64,48 @@ bool PerEdgeFleetAdapter::load_state(util::StateReader& reader) {
 FleetPolicyFactory adapt_per_edge(PolicyFactory factory) {
   return [factory = std::move(factory)](const FleetPolicyContext& context) {
     return std::make_unique<PerEdgeFleetAdapter>(factory, context);
+  };
+}
+
+namespace {
+
+class FixedFleetPolicy final : public FleetPolicy {
+ public:
+  explicit FixedFleetPolicy(std::vector<std::size_t> models)
+      : models_(std::move(models)) {}
+
+  std::size_t num_edges() const noexcept override { return models_.size(); }
+  std::size_t select(std::size_t edge, std::size_t) override {
+    return models_[edge];
+  }
+  void feedback(std::size_t, std::size_t, std::size_t, double) override {}
+  std::string name() const override { return "fixed"; }
+  bool save_state(util::StateWriter&) const override { return true; }
+  bool load_state(util::StateReader&) override { return true; }
+
+ private:
+  std::vector<std::size_t> models_;
+};
+
+}  // namespace
+
+FleetPolicyFactory fixed_policy(std::vector<std::size_t> model_per_edge) {
+  return [models = std::move(model_per_edge)](
+             const FleetPolicyContext& context)
+             -> std::unique_ptr<FleetPolicy> {
+    if (models.size() != context.num_edges) {
+      throw std::invalid_argument(
+          "fixed_policy: " + std::to_string(models.size()) +
+          " choices for " + std::to_string(context.num_edges) + " edges");
+    }
+    for (const std::size_t model : models) {
+      if (model >= context.num_models) {
+        throw std::invalid_argument(
+            "fixed_policy: model " + std::to_string(model) + " out of range (" +
+            std::to_string(context.num_models) + " models)");
+      }
+    }
+    return std::make_unique<FixedFleetPolicy>(models);
   };
 }
 

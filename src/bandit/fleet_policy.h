@@ -157,4 +157,13 @@ class PerEdgeFleetAdapter final : public FleetPolicy {
 /// FleetPolicyFactory wrapping a per-edge PolicyFactory in the adapter.
 FleetPolicyFactory adapt_per_edge(PolicyFactory factory);
 
+/// Fixed per-edge choices, no learning: edge i hosts model_per_edge[i] in
+/// every slot (the Offline reference, the regret comparator). Its name is
+/// "fixed"; it is stateless, so its checkpoint section is empty. The
+/// initial download at t = 0 pays transfer energy but no switching cost
+/// u_i, so a fixed choice never pays u_i at all. The factory throws
+/// std::invalid_argument unless there is one model per edge of the
+/// context, each below its num_models.
+FleetPolicyFactory fixed_policy(std::vector<std::size_t> model_per_edge);
+
 }  // namespace cea::bandit

@@ -1,11 +1,14 @@
 #pragma once
 
-// Internal kernels behind LossProfile::draw_batch_keyed. Both kernels
-// implement the exact same sampling scheme (see loss_profile.h) and must
-// produce bit-identical results; tests/data/test_loss_profile.cpp holds
-// them to that. The AVX2 kernel lives in its own translation unit
-// (loss_sampling_avx2.cpp, compiled with -mavx2) and is dispatched at
-// runtime via have_avx2().
+// Internal kernels behind LossProfile::draw_batch_keyed. The three
+// kernels — draw_batch_kernel_scalar, draw_batch_kernel_avx2 and
+// draw_batch_kernel_avx512 — implement the exact same sampling scheme (see
+// loss_profile.h) and must produce bit-identical results;
+// tests/data/test_loss_profile.cpp (LossSamplingKernels.*) holds both SIMD
+// kernels to the scalar one. Each SIMD kernel lives in its own translation
+// unit (loss_sampling_avx2.cpp, loss_sampling_avx512.cpp; shared body in
+// loss_sampling_ymm.h) compiled with its -m flags, and is dispatched at
+// runtime via have_avx512() / have_avx2().
 
 #include <cstddef>
 #include <cstdint>

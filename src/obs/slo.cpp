@@ -36,23 +36,23 @@ void SloWatchdog::observe_slot(std::size_t tenant,
                                const SloTenantSlot& observed) {
   TenantState& state = tenants_.at(tenant);
 
-  // Rolling emission window: overwrite the oldest sample. The sum is
-  // re-derived incrementally; exactness does not matter for an alerting
-  // threshold, determinism does — and add/subtract of the same values in
-  // the same order is deterministic.
-  if (state.filled == state.window.size()) {
-    state.window_sum -= state.window[state.head];
-  } else {
-    ++state.filled;
-  }
+  // Rolling emission window: overwrite the oldest sample, then sum the
+  // ring oldest-first. The sum is a function of the window's contents
+  // alone (not of every emission ever observed, as an add/subtract
+  // running sum would be), so a restore rebuilds it from the last
+  // `window` emissions.
+  const std::size_t width = state.window.size();
   state.window[state.head] = observed.emission;
-  state.window_sum += observed.emission;
-  state.head = (state.head + 1) % state.window.size();
+  state.head = (state.head + 1) % width;
+  if (state.filled < width) ++state.filled;
+  double window_sum = 0.0;
+  for (std::size_t k = width - state.filled; k < width; ++k) {
+    window_sum += state.window[(state.head + k) % width];
+  }
 
   // Projected cap breach: windowed mean rate * remaining slots vs what
   // the tenant still holds. Edge-triggered per breach episode.
-  const double mean_rate =
-      state.window_sum / static_cast<double>(state.filled);
+  const double mean_rate = window_sum / static_cast<double>(state.filled);
   const double remaining =
       observed.horizon > observed.slot + 1
           ? static_cast<double>(observed.horizon - observed.slot - 1)

@@ -96,10 +96,11 @@ class SloWatchdog {
 
   /// Forget the alerts and totals accumulated so far while keeping the
   /// rolling windows and episode state. A checkpoint restore
-  /// (serve/daemon.cpp) replays the pre-crash emission window through
-  /// observe_slot to rebuild this state; the replayed slots' alerts were
-  /// already journaled by the previous life and must not re-raise or
-  /// count toward the new life's totals.
+  /// (serve/daemon.cpp) replays the last `window` pre-crash emissions
+  /// through observe_slot to rebuild this state — a tenant's alerts depend
+  /// only on its last `window` emissions, the slot and the balance; the
+  /// replayed slots' alerts were already journaled by the previous life
+  /// and must not re-raise or count toward the new life's totals.
   void absorb_replay();
 
   /// Alerts raised per rule since construction (never reset by drain).
@@ -116,9 +117,8 @@ class SloWatchdog {
 
   struct TenantState {
     std::vector<double> window;  ///< emission ring, config.window wide
-    std::size_t head = 0;
+    std::size_t head = 0;        ///< next slot to overwrite (the oldest)
     std::size_t filled = 0;
-    double window_sum = 0.0;
     bool in_breach = false;
     bool insolvent = false;
   };

@@ -28,7 +28,6 @@ ServeController::ServeController(const std::vector<TenantSpec>& tenants,
     Tenant tenant;
     tenant.name = spec.name;
     tenant.run_seed = spec.run_seed;
-    tenant.algorithm = spec.combo.name;
     tenant.env = std::make_unique<sim::Environment>(
         sim::Environment::make_parametric(spec.scenario));
     // Reuse the Simulator's context builders so a tenant's engine is
@@ -46,32 +45,9 @@ ServeController::ServeController(const std::vector<TenantSpec>& tenants,
   }
 }
 
-ServeController::~ServeController() = default;
-
-// Adapter from one engine's SlotObserver to the controller-level
-// (tenant, slot) observer.
-struct ServeController::Tap final : sim::SlotObserver {
-  TenantSlotObserver* sink = nullptr;
-  std::size_t tenant = 0;
-  void on_slot(const sim::SlotObservation& observed) override {
-    sink->on_tenant_slot(tenant, observed);
-  }
-};
-
 void ServeController::set_observer(TenantSlotObserver* observer) {
-  if (observer == nullptr) {
-    for (auto& tenant : tenants_) tenant.engine->set_observer(nullptr);
-    taps_.clear();
-    return;
-  }
-  taps_.clear();
-  taps_.reserve(tenants_.size());
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    auto tap = std::make_unique<Tap>();
-    tap->sink = observer;
-    tap->tenant = i;
-    tenants_[i].engine->set_observer(tap.get());
-    taps_.push_back(std::move(tap));
+    tenants_[i].engine->set_observer(observer, i);
   }
 }
 
@@ -111,7 +87,7 @@ void ServeController::step(const trading::TradeObservation& quote,
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     const std::size_t edges = tenants_[i].env->num_edges();
     tenants_[i].engine->finish_slot(quote, trades[i],
-                                    workload_all.data() + offset);
+                                    workload_all.subspan(offset, edges));
     offset += edges;
   }
 }

@@ -25,16 +25,13 @@
 
 namespace cea::serve {
 
-/// Controller-level decision observer: one callback per (tenant, slot),
-/// in tenant-index order within each slot (phase 3 executes tenants in
-/// index order, and every engine hook fires synchronously). The daemon
-/// implements this to feed the decision journal and the SLO watchdog.
-class TenantSlotObserver {
- public:
-  virtual ~TenantSlotObserver() = default;
-  virtual void on_tenant_slot(std::size_t tenant,
-                              const sim::SlotObservation& observed) = 0;
-};
+/// The engines' decision observer: set_observer attaches it to every
+/// tenant engine with the tenant's index, so it gets one callback per
+/// (tenant, slot), in tenant-index order within each slot (phase 3
+/// executes tenants in index order, and every engine hook fires
+/// synchronously). The daemon implements it to feed the decision journal
+/// and the SLO watchdog.
+using TenantSlotObserver = sim::SlotObserver;
 
 /// One tenant: a scenario, an algorithm pairing, and a run seed.
 struct TenantSpec {
@@ -58,7 +55,6 @@ class ServeController {
   /// std::invalid_argument on empty or duplicate-name tenant lists.
   ServeController(const std::vector<TenantSpec>& tenants,
                   const sim::SimOptions& options, MarketRule market = {});
-  ~ServeController();  // out of line: Tap is incomplete here
 
   std::size_t num_tenants() const noexcept { return tenants_.size(); }
   /// Sum of every tenant's edge count — the workload width step() expects.
@@ -82,9 +78,9 @@ class ServeController {
   void step(const trading::TradeObservation& quote,
             std::span<const int> workload_all);
 
-  /// Attach (or detach with nullptr) the per-(tenant, slot) observer by
-  /// fanning a tap into every tenant engine. The observer must outlive
-  /// the controller or be detached first.
+  /// Attach (or detach with nullptr) the per-(tenant, slot) observer to
+  /// every tenant engine. The observer must outlive the controller or be
+  /// detached first.
   void set_observer(TenantSlotObserver* observer);
 
   /// Serialize the full controller state (meta + every engine) into a
@@ -93,14 +89,15 @@ class ServeController {
 
   /// Restore from a payload produced by checkpoint_payload() on an
   /// identically configured controller. Throws util::StateError on any
-  /// mismatch (tenant count/names/shape/algorithm/seed) or corruption.
+  /// mismatch (tenant count, names, seeds, market rule, and each engine's
+  /// shape, horizon, environment fingerprint, algorithm, policy and
+  /// trader) or corruption.
   void restore_payload(std::string_view payload);
 
  private:
   struct Tenant {
     std::string name;
     std::uint64_t run_seed = 0;
-    std::string algorithm;
     // unique_ptr for address stability: the engine aliases the env.
     std::unique_ptr<sim::Environment> env;
     std::unique_ptr<sim::SlotEngine> engine;
@@ -111,10 +108,6 @@ class ServeController {
   MarketRule market_;
   /// Size of the last checkpoint_payload(): the next one's buffer hint.
   mutable std::size_t checkpoint_bytes_ = 0;
-  struct Tap;
-  // unique_ptr for address stability: each engine keeps a pointer to its
-  // tap while attached.
-  std::vector<std::unique_ptr<Tap>> taps_;
 };
 
 }  // namespace cea::serve

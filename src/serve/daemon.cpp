@@ -2,9 +2,8 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -45,10 +44,9 @@ bool journaled_alert(obs::SloKind kind) {
 }  // namespace
 
 // All observability state of one daemon: the journal writer, the SLO
-// watchdog, the per-tenant gauge cache behind the metrics page, and the
-// optional TCP endpoint. Implements the controller observer so every
-// (tenant, slot) decision lands here synchronously, at a pool-quiescent
-// point, in deterministic tenant order.
+// watchdog, the metrics page and the optional TCP endpoint. Implements the
+// engines' observer so every (tenant, slot) decision lands here
+// synchronously, at a pool-quiescent point, in deterministic tenant order.
 struct ServeDaemon::Obs final : TenantSlotObserver {
   ServeController& controller;
   const DaemonConfig& config;
@@ -56,16 +54,12 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
   std::unique_ptr<obs::JournalWriter> journal;
   std::unique_ptr<MetricsServer> server;
 
-  /// Latest per-tenant state, fed by on_tenant_slot and re-synced from
-  /// the engines after a checkpoint restore.
+  /// The per-tenant constants the metrics page and the watchdog need; the
+  /// changing gauges are read from the engines at render time.
   struct TenantView {
     std::string name;
     std::uint64_t horizon = 0;
     double carbon_cap = 0.0;
-    double balance = 0.0;
-    double emission_total = 0.0;
-    double trader_dual = std::numeric_limits<double>::quiet_NaN();
-    std::uint64_t switches_total = 0;
   };
   std::vector<TenantView> tenants;
   std::int64_t last_ready_ms = 0;
@@ -86,46 +80,30 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
       tenants[i].horizon = controller.tenant_env(i).horizon();
       tenants[i].carbon_cap = controller.tenant_env(i).config().carbon_cap;
     }
-    sync_from_engines();
+    rebuild_watchdog();
   }
 
-  /// Rebuild the cumulative gauges from the engines' recorded series —
-  /// construction over a restored controller and every restore_from()
-  /// land here so the metrics page continues where the crashed run left
-  /// off.
-  void sync_from_engines() {
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-      auto& engine = controller.tenant_engine(i);
-      const sim::RunResult& result = engine.result();
-      double total = 0.0;
-      for (const double e : result.emissions) total += e;
-      tenants[i].emission_total = total;
-      tenants[i].balance = engine.allowance_balance();
-      tenants[i].switches_total = result.total_switches;
-    }
-
-    // Rebuild the watchdog's rolling windows and episode state from the
-    // engines' recorded emission series, so a restored run raises the
-    // same alerts with the same values as the uninterrupted run would
-    // (the journal bit-identity contract extends across restores). The
-    // full series is replayed — not just the last `window` slots —
-    // because the window sum is maintained incrementally and its
-    // floating-point value depends on the whole add/subtract history.
-    // Per-slot balances are not recorded, but only the final replayed
-    // evaluation's episode state survives, and at the restore boundary
-    // the live allowance balance IS that slot's balance. The replayed
-    // slots' own alerts were journaled by the previous life;
-    // absorb_replay() drops them.
+  /// Rebuild the watchdog's rolling windows and episode state from the
+  /// engines — construction over a restored controller and every
+  /// restore_from() land here, so a restored run raises the same alerts
+  /// with the same values as the uninterrupted run would (the journal
+  /// bit-identity contract extends across restores). The watchdog's state
+  /// is a function of its last `window` emissions, the slot and the
+  /// balance, so replaying the last min(window, slot) recorded emissions
+  /// rebuilds it: only the final replayed evaluation's episode state
+  /// survives, and at the restore boundary the live allowance balance IS
+  /// that slot's balance. The replayed slots' own alerts were journaled by
+  /// the previous life; absorb_replay() drops them.
+  void rebuild_watchdog() {
     watchdog = obs::SloWatchdog(config.slo, tenants.size());
     for (std::size_t i = 0; i < tenants.size(); ++i) {
-      const auto& emissions = controller.tenant_engine(i).result().emissions;
-      for (std::size_t t = 0; t < emissions.size(); ++t) {
-        obs::SloTenantSlot replayed;
-        replayed.slot = t;
-        replayed.horizon = tenants[i].horizon;
-        replayed.emission = emissions[t];
-        replayed.balance = tenants[i].balance;
-        watchdog.observe_slot(i, replayed);
+      sim::SlotEngine& engine = controller.tenant_engine(i);
+      const auto& emissions = engine.result().emissions;
+      const std::size_t from =
+          emissions.size() - std::min(emissions.size(), config.slo.window);
+      for (std::size_t t = from; t < emissions.size(); ++t) {
+        watchdog.observe_slot(i, {t, tenants[i].horizon, emissions[t],
+                                  engine.allowance_balance()});
       }
     }
     watchdog.absorb_replay();
@@ -133,12 +111,7 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
 
   void on_tenant_slot(std::size_t tenant,
                       const sim::SlotObservation& observed) override {
-    TenantView& view = tenants[tenant];
-    view.balance = observed.balance;
-    view.emission_total += observed.emission;
-    view.trader_dual = observed.trader_dual;
-    view.switches_total = observed.switches_total;
-
+    const TenantView& view = tenants[tenant];
     if (journal != nullptr) {
       obs::JournalRecord record;
       record.kind = obs::JournalRecord::Kind::kSlot;
@@ -209,53 +182,53 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
     std::vector<obs::PromSample> extra;
     // Per-tenant series, one loop per metric name so consecutive samples
     // share a TYPE header (obs/prom.h grouping rule).
-    for (const TenantView& view : tenants) {
-      extra.push_back({"tenant_allowance_balance",
-                       {{"tenant", view.name}},
-                       view.balance,
-                       "gauge"});
-    }
-    for (const TenantView& view : tenants) {
-      extra.push_back({"tenant_emission_total",
-                       {{"tenant", view.name}},
-                       view.emission_total,
-                       "counter"});
-    }
-    for (const TenantView& view : tenants) {
-      // Fraction of the carbon cap already emitted, relative to the
-      // fraction of the horizon already served: 1.0 = exactly on pace to
-      // land at the cap, >1 = burning allowances faster than time.
-      double burn = 0.0;
-      if (slots_done > 0 && view.carbon_cap > 0.0 && view.horizon > 0) {
-        burn = (view.emission_total * static_cast<double>(view.horizon)) /
-               (view.carbon_cap * static_cast<double>(slots_done));
+    auto per_tenant = [&](const char* name, const char* type,
+                          auto&& value_of) {
+      for (std::size_t i = 0; i < tenants.size(); ++i) {
+        extra.push_back({name,
+                         {{"tenant", tenants[i].name}},
+                         value_of(tenants[i], controller.tenant_engine(i)),
+                         type});
       }
-      extra.push_back(
-          {"tenant_cap_burn_rate", {{"tenant", view.name}}, burn, "gauge"});
-    }
-    for (const TenantView& view : tenants) {
-      // Remaining allowance headroom as a fraction of the cap; negative
-      // when the tenant is emitting uncovered.
-      const double solvency = view.carbon_cap > 0.0
-                                  ? view.balance / view.carbon_cap
-                                  : view.balance;
-      extra.push_back({"tenant_allowance_solvency",
-                       {{"tenant", view.name}},
-                       solvency,
-                       "gauge"});
-    }
-    for (const TenantView& view : tenants) {
-      extra.push_back({"tenant_trader_dual",
-                       {{"tenant", view.name}},
-                       view.trader_dual,
-                       "gauge"});
-    }
-    for (const TenantView& view : tenants) {
-      extra.push_back({"tenant_switches_total",
-                       {{"tenant", view.name}},
-                       static_cast<double>(view.switches_total),
-                       "counter"});
-    }
+    };
+    per_tenant("tenant_allowance_balance", "gauge",
+               [](const TenantView&, const sim::SlotEngine& engine) {
+                 return engine.allowance_balance();
+               });
+    per_tenant("tenant_emission_total", "counter",
+               [](const TenantView&, const sim::SlotEngine& engine) {
+                 return engine.emission_total();
+               });
+    // Fraction of the carbon cap already emitted, relative to the fraction
+    // of the horizon already served: 1.0 = exactly on pace to land at the
+    // cap, >1 = burning allowances faster than time.
+    per_tenant("tenant_cap_burn_rate", "gauge",
+               [slots_done](const TenantView& view,
+                            const sim::SlotEngine& engine) {
+                 if (slots_done == 0 || view.carbon_cap <= 0.0 ||
+                     view.horizon == 0) {
+                   return 0.0;
+                 }
+                 return (engine.emission_total() *
+                         static_cast<double>(view.horizon)) /
+                        (view.carbon_cap * static_cast<double>(slots_done));
+               });
+    // Remaining allowance headroom as a fraction of the cap; negative when
+    // the tenant is emitting uncovered.
+    per_tenant("tenant_allowance_solvency", "gauge",
+               [](const TenantView& view, const sim::SlotEngine& engine) {
+                 return view.carbon_cap > 0.0
+                            ? engine.allowance_balance() / view.carbon_cap
+                            : engine.allowance_balance();
+               });
+    per_tenant("tenant_trader_dual", "gauge",
+               [](const TenantView&, const sim::SlotEngine& engine) {
+                 return engine.trader_dual();
+               });
+    per_tenant("tenant_switches_total", "counter",
+               [](const TenantView&, sim::SlotEngine& engine) {
+                 return static_cast<double>(engine.result().total_switches);
+               });
     for (std::size_t kind = 0; kind < obs::kSloKindCount; ++kind) {
       extra.push_back(
           {"slo_alerts_total",
@@ -336,7 +309,7 @@ bool ServeDaemon::restore_if_present() {
 
 void ServeDaemon::restore_from(const std::string& path) {
   controller_.restore_payload(util::read_checkpoint_file(path));
-  if (obs_ != nullptr) obs_->sync_from_engines();
+  if (obs_ != nullptr) obs_->rebuild_watchdog();
 }
 
 void ServeDaemon::write_checkpoint() {

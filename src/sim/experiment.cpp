@@ -128,41 +128,6 @@ RunResult run_combo_averaged_parallel(const Environment& env,
   return average_runs(runs);
 }
 
-RunResult run_offline(const Environment& env, std::uint64_t run_seed) {
-  Simulator simulator(env);
-
-  // Best model at hindsight per edge.
-  std::vector<std::size_t> best(env.num_edges());
-  for (std::size_t i = 0; i < env.num_edges(); ++i) best[i] = env.best_model(i);
-
-  // Pass 1: realized emissions under those choices (prices ignored).
-  auto null_trader = [](const trading::TraderContext&) {
-    struct NullTrader final : trading::TradingPolicy {
-      trading::TradeDecision decide(std::size_t,
-                                    const trading::TradeObservation&) override {
-        return {};
-      }
-      void feedback(std::size_t, double, const trading::TradeObservation&,
-                    const trading::TradeDecision&) override {}
-      std::string name() const override { return "Null"; }
-    };
-    return std::make_unique<NullTrader>();
-  };
-  const RunResult dry =
-      simulator.run_fixed(best, null_trader, run_seed, "Offline-dry");
-
-  // Pass 2: solve the trading LP on the realized emissions, then replay.
-  const trading::TraderContext context = simulator.trader_context(run_seed);
-  trading::OfflineTradingPlan plan = trading::solve_offline_trading(
-      context, env.prices().buy, env.prices().sell, dry.emissions);
-  auto lp_trader = [&plan](const trading::TraderContext&) {
-    return std::make_unique<trading::OfflineLpTrader>(plan);
-  };
-  RunResult result =
-      simulator.run_fixed(best, lp_trader, run_seed, "Offline");
-  return result;
-}
-
 namespace {
 
 trading::TraderFactory null_trader_factory() {
@@ -180,14 +145,38 @@ trading::TraderFactory null_trader_factory() {
   };
 }
 
+/// Best model at hindsight per edge, as a fixed policy.
+bandit::FleetPolicyFactory best_fixed_policy(const Environment& env) {
+  std::vector<std::size_t> best(env.num_edges());
+  for (std::size_t i = 0; i < env.num_edges(); ++i) best[i] = env.best_model(i);
+  return bandit::fixed_policy(std::move(best));
+}
+
 }  // namespace
+
+RunResult run_offline(const Environment& env, std::uint64_t run_seed) {
+  Simulator simulator(env);
+  const bandit::FleetPolicyFactory best = best_fixed_policy(env);
+
+  // Pass 1: realized emissions under those choices (prices ignored).
+  const RunResult dry =
+      simulator.run(best, null_trader_factory(), run_seed, "Offline-dry");
+
+  // Pass 2: solve the trading LP on the realized emissions, then replay.
+  const trading::TraderContext context = simulator.trader_context(run_seed);
+  trading::OfflineTradingPlan plan = trading::solve_offline_trading(
+      context, env.prices().buy, env.prices().sell, dry.emissions);
+  auto lp_trader = [&plan](const trading::TraderContext&) {
+    return std::make_unique<trading::OfflineLpTrader>(plan);
+  };
+  return simulator.run(best, lp_trader, run_seed, "Offline");
+}
 
 double comparator_cost(const Environment& env, std::uint64_t run_seed) {
   Simulator simulator(env);
-  std::vector<std::size_t> best(env.num_edges());
-  for (std::size_t i = 0; i < env.num_edges(); ++i) best[i] = env.best_model(i);
-  const RunResult dry = simulator.run_fixed(best, null_trader_factory(),
-                                            run_seed, "comparator-dry");
+  const RunResult dry = simulator.run(best_fixed_policy(env),
+                                      null_trader_factory(), run_seed,
+                                      "comparator-dry");
   const double cap_share = env.config().carbon_cap /
                            static_cast<double>(env.horizon());
   double trading = 0.0;

@@ -29,7 +29,6 @@ FleetState::FleetState(const Environment& env)
   bytes += slab_bytes<std::uint32_t>(N);                 // shift targets
   bytes += slab_bytes<double>(E);                        // switch costs
   bytes += slab_bytes<double>(E * N) * 2;                // comp, transfer
-  bytes += slab_bytes<const int*>(E);                    // workload rows
   bytes += slab_bytes<std::uint32_t>(E);                 // previous model
   bytes += slab_bytes<double>(E) * 5;                    // partial doubles
   bytes += slab_bytes<std::uint32_t>(E);                 // partial model
@@ -43,7 +42,6 @@ FleetState::FleetState(const Environment& env)
   edge_switch_cost_ = carve<double>(E);
   comp_cost_ = carve<double>(E * N);
   transfer_energy_ = carve<double>(E * N);
-  edge_workload_ = carve<const int*>(E);
   previous_model_ = carve<std::uint32_t>(E);
   part_inference_ = carve<double>(E);
   part_switch_cost_ = carve<double>(E);
@@ -61,7 +59,6 @@ FleetState::FleetState(const Environment& env)
   }
   for (std::size_t i = 0; i < E; ++i) {
     edge_switch_cost_[i] = env.switching_cost(i);
-    edge_workload_[i] = env.workload()[i].data();
     for (std::size_t n = 0; n < N; ++n) {
       comp_cost_[i * N + n] = env.computation_cost(i, n);
       transfer_energy_[i * N + n] = env.transfer_energy(i, n);

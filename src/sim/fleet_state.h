@@ -4,8 +4,9 @@
 //
 // The slot loop touches, for every edge, a handful of scalars: the hoisted
 // environment invariants (per-model energy/mean-loss, per-edge switching
-// and computation costs, workload row pointers), the previous hosted model,
-// and the slot's per-edge partial contributions. Before this layer those
+// and computation costs), the previous hosted model, and the slot's
+// per-edge partial contributions. The slot's workload counts are not here:
+// the engine's caller passes them in with each slot. Before this layer those
 // lived in a std::vector<EdgePartial> (AoS) plus one std::vector per
 // quantity, each a separate heap block. Here every hot array is carved out
 // of a single util::Arena reserved once per run — one allocation for the
@@ -34,8 +35,7 @@ class Environment;
 class FleetState {
  public:
   /// Builds every hot array from `env` in one arena reservation. The
-  /// environment must outlive this object (workload row and profile
-  /// pointers alias it).
+  /// environment must outlive this object (the profile pointers alias it).
   explicit FleetState(const Environment& env);
 
   FleetState(const FleetState&) = delete;
@@ -57,11 +57,13 @@ class FleetState {
   /// [edge * num_models + model] slabs.
   const double* comp_cost() const noexcept { return comp_cost_; }
   const double* transfer_energy() const noexcept { return transfer_energy_; }
-  const int* const* edge_workload() const noexcept { return edge_workload_; }
 
   // Mutable per-edge hot state.
   static constexpr std::uint32_t kNoModel = ~std::uint32_t{0};
   std::uint32_t* previous_model() noexcept { return previous_model_; }
+  const std::uint32_t* previous_model() const noexcept {
+    return previous_model_;
+  }
 
   // Per-slot partial contributions, SoA (one writer per edge).
   double* part_inference() noexcept { return part_inference_; }
@@ -102,7 +104,6 @@ class FleetState {
   double* edge_switch_cost_ = nullptr;
   double* comp_cost_ = nullptr;
   double* transfer_energy_ = nullptr;
-  const int** edge_workload_ = nullptr;
   std::uint32_t* previous_model_ = nullptr;
   double* part_inference_ = nullptr;
   double* part_switch_cost_ = nullptr;

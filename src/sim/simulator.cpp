@@ -1,8 +1,9 @@
 #include "sim/simulator.h"
 
-#include <cassert>
-#include <memory>
+#include <utility>
+#include <vector>
 
+#include "obs/telemetry.h"
 #include "sim/slot_engine.h"
 
 namespace cea::sim {
@@ -38,37 +39,19 @@ RunResult Simulator::run(const bandit::FleetPolicyFactory& policy_factory,
                          std::uint64_t run_seed,
                          std::string algorithm_name) const {
   auto fleet = policy_factory(fleet_policy_context(run_seed));
-  assert(fleet != nullptr && fleet->num_edges() == env_.num_edges());
-  return run_impl(std::move(fleet), trader_factory, run_seed,
-                  std::move(algorithm_name), /*fixed_choices=*/false,
-                  nullptr);
-}
-
-RunResult Simulator::run_fixed(const std::vector<std::size_t>& model_per_edge,
-                               const trading::TraderFactory& trader_factory,
-                               std::uint64_t run_seed,
-                               std::string algorithm_name) const {
-  assert(model_per_edge.size() == env_.num_edges());
-  return run_impl(nullptr, trader_factory, run_seed,
-                  std::move(algorithm_name),
-                  /*fixed_choices=*/true, &model_per_edge);
-}
-
-RunResult Simulator::run_impl(
-    std::unique_ptr<bandit::FleetPolicy> fleet,
-    const trading::TraderFactory& trader_factory, std::uint64_t run_seed,
-    std::string algorithm_name, bool fixed_choices,
-    const std::vector<std::size_t>* fixed_models) const {
-  // The whole slot loop lives in SlotEngine (sim/slot_engine.h) so the
-  // serving daemon can drive the identical arithmetic slot by slot; the
-  // golden traces pin the extraction bit-for-bit. Here a run is just
-  // "step the engine across the horizon on the environment's own traces".
   auto trader = trader_factory(trader_context(run_seed));
   SlotEngine engine(env_, options_, std::move(fleet), std::move(trader),
-                    run_seed, std::move(algorithm_name),
-                    fixed_choices ? fixed_models : nullptr);
-  const std::size_t horizon = env_.horizon();
-  for (std::size_t t = 0; t < horizon; ++t) engine.step();
+                    run_seed, std::move(algorithm_name));
+  const data::WorkloadTraces& workload = env_.workload();
+  const data::PriceSeries& prices = env_.prices();
+  std::vector<int> column(env_.num_edges());
+  for (std::size_t t = 0; t < env_.horizon(); ++t) {
+    CEA_SPAN("sim.slot");
+    for (std::size_t i = 0; i < column.size(); ++i) column[i] = workload[i][t];
+    const trading::TradeObservation quote{prices.buy[t], prices.sell[t]};
+    const trading::TradeDecision trade = engine.begin_slot(quote);
+    engine.finish_slot(quote, trade, column);
+  }
   return engine.take_result();
 }
 

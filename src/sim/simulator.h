@@ -55,12 +55,15 @@ struct SimOptions {
 /// FleetState reserved once per run, and model selection goes through a
 /// single bandit::FleetPolicy — an SoA-native fleet such as Algorithm 1's
 /// core::BlockedTsallisFleetPolicy, or per-edge policy instances behind
-/// bandit::PerEdgeFleetAdapter (bandit::adapt_per_edge).
+/// bandit::PerEdgeFleetAdapter (bandit::adapt_per_edge), or fixed
+/// per-edge choices behind bandit::fixed_policy.
 /// Loss sampling is batched (LossProfile::draw_batch_keyed) with one RNG
 /// stream per (edge, slot) derived from the run seed, so sampling is a
 /// pure function of (run_seed, edge, t) and the pooled edge-sharded mode
 /// (SimOptions::pool) is bit-identical to the serial one. The slot loop
-/// itself is sim::SlotEngine; a run steps it across the horizon.
+/// itself is sim::SlotEngine; a run feeds it each slot's price quote and
+/// workload column from the environment's traces, exactly as the serving
+/// daemon feeds it a feed's.
 class Simulator {
  public:
   explicit Simulator(const Environment& environment, SimOptions options = {})
@@ -73,15 +76,6 @@ class Simulator {
                 const trading::TraderFactory& trader_factory,
                 std::uint64_t run_seed, std::string algorithm_name) const;
 
-  /// Run with fixed per-edge model choices (no learning) — used by the
-  /// Offline reference and by ablations. The initial download at t=0 is
-  /// charged its transfer energy but no switching cost u_i (nothing hosted
-  /// is replaced), so a fixed choice never pays u_i at all.
-  RunResult run_fixed(const std::vector<std::size_t>& model_per_edge,
-                      const trading::TraderFactory& trader_factory,
-                      std::uint64_t run_seed,
-                      std::string algorithm_name) const;
-
   /// Build the TraderContext the trading policies receive.
   trading::TraderContext trader_context(std::uint64_t run_seed) const;
 
@@ -91,12 +85,6 @@ class Simulator {
       std::uint64_t run_seed) const;
 
  private:
-  RunResult run_impl(std::unique_ptr<bandit::FleetPolicy> fleet,
-                     const trading::TraderFactory& trader_factory,
-                     std::uint64_t run_seed, std::string algorithm_name,
-                     bool fixed_choices,
-                     const std::vector<std::size_t>* fixed_models) const;
-
   const Environment& env_;
   SimOptions options_;
 };

@@ -13,24 +13,18 @@ namespace cea::sim {
 SlotEngine::SlotEngine(const Environment& env, const SimOptions& options,
                        std::unique_ptr<bandit::FleetPolicy> fleet,
                        std::unique_ptr<trading::TradingPolicy> trader,
-                       std::uint64_t run_seed, std::string algorithm_name,
-                       const std::vector<std::size_t>* fixed_models)
+                       std::uint64_t run_seed, std::string algorithm_name)
     : env_(env),
       options_(options),
       fleet_(std::move(fleet)),
       trader_(std::move(trader)),
-      fixed_choices_(fixed_models != nullptr),
       num_edges_(env.num_edges()),
       num_models_(env.num_models()),
       // Base of the per-(edge, slot) draw streams.
       draw_seed_(run_seed ^ 0xD1CE5EEDBEEFULL),
       state_(env) {
+  assert(fleet_ != nullptr && fleet_->num_edges() == num_edges_);
   assert(trader_ != nullptr);
-  assert(fixed_choices_ || fleet_ != nullptr);
-  if (fixed_models != nullptr) {
-    assert(fixed_models->size() == num_edges_);
-    fixed_models_ = *fixed_models;
-  }
   const auto& config = env_.config();
 
   result_.algorithm = std::move(algorithm_name);
@@ -49,22 +43,34 @@ SlotEngine::SlotEngine(const Environment& env, const SimOptions& options,
   result_.settlement_price =
       config.settlement_penalty_multiplier * env_.prices().buy.back();
 
-  energy_per_sample_ = state_.energy_per_sample();
-  mean_loss_ = state_.mean_loss();
-  profiles_ = state_.profiles();
-  shift_target_ = state_.shift_target();
-  edge_switch_cost_ = state_.edge_switch_cost();
-  comp_cost_ = state_.comp_cost();
-  transfer_energy_ = state_.transfer_energy();
-  edge_workload_ = state_.edge_workload();
-  previous_model_ = state_.previous_model();
-  part_inference_ = state_.part_inference();
-  part_switch_cost_ = state_.part_switch_cost();
-  part_energy_ = state_.part_energy();
-  part_correct_ = state_.part_correct();
-  part_samples_ = state_.part_samples();
-  part_model_ = state_.part_model();
-  part_switched_ = state_.part_switched();
+  // Environment fingerprint: every value the slot arithmetic, the fleet
+  // policy (FleetPolicyContext) and the trader (TraderContext) read from
+  // the environment, encoded once through a StateWriter and checksummed.
+  // The loss profiles enter through their means; the run seed and the
+  // shape are checked on their own.
+  {
+    const std::size_t E = num_edges_;
+    const std::size_t N = num_models_;
+    util::StateWriter values;
+    values.write_u64("horizon", horizon);
+    values.write_double("carbon_cap", config.carbon_cap);
+    values.write_double("max_trade_per_slot", config.max_trade_per_slot);
+    values.write_double("emission_rate", config.emission_rate);
+    values.write_u64("loss_draw_cap", config.loss_draw_cap);
+    values.write_u64("loss_shift_slot", config.loss_shift_slot);
+    values.write_bool("clamp_sales_to_holdings",
+                      config.clamp_sales_to_holdings);
+    values.write_double("settlement_price", result_.settlement_price);
+    values.write_doubles("energy_per_sample", {state_.energy_per_sample(), N});
+    values.write_doubles("mean_loss", {state_.mean_loss(), N});
+    const std::vector<std::uint64_t> shift_target(
+        state_.shift_target(), state_.shift_target() + N);
+    values.write_u64s("shift_target", shift_target);
+    values.write_doubles("edge_switch_cost", {state_.edge_switch_cost(), E});
+    values.write_doubles("comp_cost", {state_.comp_cost(), E * N});
+    values.write_doubles("transfer_energy", {state_.transfer_energy(), E * N});
+    env_fingerprint_ = util::checkpoint_checksum(values.payload());
+  }
 
   // Allowance balance R + sum(z - w - e); sales are clamped so it cannot
   // go negative through selling (SimConfig::clamp_sales_to_holdings).
@@ -78,8 +84,8 @@ SlotEngine::SlotEngine(const Environment& env, const SimOptions& options,
   // solver reproduces the scalar oracle exactly. A pooled engine leaves
   // each solve to its shard: the presolve is a serial phase every worker
   // would wait behind.
-  any_batchable_ = options_.pool == nullptr && !fixed_choices_ &&
-                   fleet_ != nullptr && fleet_->supports_batch_solve();
+  any_batchable_ =
+      options_.pool == nullptr && fleet_->supports_batch_solve();
 
   // One contiguous shard per claim (see SimOptions::edge_shard_grain).
   shard_task_ = [this](std::size_t begin, std::size_t end) {
@@ -96,34 +102,34 @@ void SlotEngine::run_edge(std::size_t i) {
   const auto& config = env_.config();
   std::int64_t obs_t0 = obs_detail_ ? obs::now_ns() : 0;
   double obs_bandit_ns = 0.0;
-  const std::size_t model =
-      fixed_choices_ ? fixed_models_[i] : fleet_->select(i, t);
+  const std::size_t model = fleet_->select(i, t);
   if (obs_detail_) {
     const std::int64_t now = obs::now_ns();
     obs_bandit_ns += static_cast<double>(now - obs_t0);
     obs_t0 = now;
   }
-  const std::size_t loss_model = shifted_ ? shift_target_[model] : model;
+  const std::size_t loss_model =
+      shifted_ ? state_.shift_target()[model] : model;
   // The initial download (previous_model == kNoModel) costs transfer
   // energy but is not a "switch": the paper charges y_i^t u_i only when
   // a *hosted* model is replaced, while every model placement — initial
   // or not — moves bytes and therefore energy.
-  const bool first_slot = previous_model_[i] == FleetState::kNoModel;
-  const bool switched = !first_slot && model != previous_model_[i];
+  std::uint32_t* previous_model = state_.previous_model();
+  const bool first_slot = previous_model[i] == FleetState::kNoModel;
+  const bool switched = !first_slot && model != previous_model[i];
   double switch_cost = 0.0;
   double energy_kwh = 0.0;
-  if (switched) switch_cost = edge_switch_cost_[i];
+  if (switched) switch_cost = state_.edge_switch_cost()[i];
   if (switched || first_slot)
-    energy_kwh += transfer_energy_[i * num_models_ + model];
-  previous_model_[i] = static_cast<std::uint32_t>(model);
-  part_model_[i] = static_cast<std::uint32_t>(model);
-  part_switched_[i] = switched ? 1 : 0;
+    energy_kwh += state_.transfer_energy()[i * num_models_ + model];
+  previous_model[i] = static_cast<std::uint32_t>(model);
+  state_.part_model()[i] = static_cast<std::uint32_t>(model);
+  state_.part_switched()[i] = switched ? 1 : 0;
   CEA_CHECK(t > 0 || !switched, "simulator.first_slot_switch", i, t,
             static_cast<double>(model),
             "edge charged a switch at t=0 (initial download)");
 
-  const auto samples = static_cast<std::size_t>(
-      slot_workload_ != nullptr ? slot_workload_[i] : edge_workload_[i][t]);
+  const auto samples = static_cast<std::size_t>(slot_workload_[i]);
   const std::size_t draws =
       config.loss_draw_cap == 0
           ? samples
@@ -132,8 +138,9 @@ void SlotEngine::run_edge(std::size_t i) {
   // Keyed directly by the (edge, slot) stream seed: no generator
   // construction on the hot path, same pure-function-of-(seed, i, t)
   // determinism contract.
-  const data::LossBatch batch = profiles_[loss_model]->draw_batch_keyed(
-      stream_seed(draw_seed_, i, t), draws);
+  const data::LossBatch batch =
+      state_.profiles()[loss_model]->draw_batch_keyed(
+          stream_seed(draw_seed_, i, t), draws);
   const double mean_sampled_loss =
       draws > 0 ? batch.loss_sum / static_cast<double>(draws) : 0.0;
   const double sample_accuracy =
@@ -151,10 +158,8 @@ void SlotEngine::run_edge(std::size_t i) {
   }
 
   // Bandit feedback: L_{i,J}^t + v_{i,J} (Insight 2).
-  if (!fixed_choices_) {
-    fleet_->feedback(i, t, model,
-                     mean_sampled_loss + comp_cost_[i * num_models_ + model]);
-  }
+  const double comp_cost = state_.comp_cost()[i * num_models_ + model];
+  fleet_->feedback(i, t, model, mean_sampled_loss + comp_cost);
   if (obs_detail_) {
     static const obs::MetricId obs_bandit_hist =
         obs::duration_histogram("sim.edge.bandit");
@@ -163,13 +168,13 @@ void SlotEngine::run_edge(std::size_t i) {
   }
 
   // Objective (1) charges the expectation E[l_n] + v_{i,n}.
-  part_inference_[i] =
-      mean_loss_[loss_model] + comp_cost_[i * num_models_ + model];
-  energy_kwh += energy_per_sample_[model] * static_cast<double>(samples);
-  part_switch_cost_[i] = switch_cost;
-  part_energy_[i] = energy_kwh;
-  part_correct_[i] = sample_accuracy * static_cast<double>(samples);
-  part_samples_[i] = static_cast<double>(samples);
+  state_.part_inference()[i] = state_.mean_loss()[loss_model] + comp_cost;
+  energy_kwh +=
+      state_.energy_per_sample()[model] * static_cast<double>(samples);
+  state_.part_switch_cost()[i] = switch_cost;
+  state_.part_energy()[i] = energy_kwh;
+  state_.part_correct()[i] = sample_accuracy * static_cast<double>(samples);
+  state_.part_samples()[i] = static_cast<double>(samples);
 }
 
 void SlotEngine::presolve() {
@@ -211,7 +216,8 @@ trading::TradeDecision SlotEngine::begin_slot(
 
 void SlotEngine::finish_slot(const trading::TradeObservation& quote,
                              trading::TradeDecision trade,
-                             const int* slot_workload) {
+                             std::span<const int> workload) {
+  assert(workload.size() == num_edges_);
   const auto& config = env_.config();
   if (config.clamp_sales_to_holdings) {
     trade.sell = std::min(trade.sell,
@@ -221,7 +227,7 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
   // Concept drift (SimConfig::loss_shift_slot): the loss distribution a
   // hosted model produces flips to its mirror after the shift slot.
   shifted_ = config.loss_shift_slot > 0 && t_ >= config.loss_shift_slot;
-  slot_workload_ = slot_workload;
+  slot_workload_ = workload.data();
 
   // Per-edge phase split (bandit select+feedback vs sample draws) is too
   // hot to time unconditionally — several clock reads per edge per slot —
@@ -250,14 +256,21 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
   {
     CEA_SPAN_DETAIL("sim.reduce");
     const std::size_t switches_before = result_.total_switches;
+    const double* part_inference = state_.part_inference();
+    const double* part_switch_cost = state_.part_switch_cost();
+    const std::uint8_t* part_switched = state_.part_switched();
+    const std::uint32_t* part_model = state_.part_model();
+    const double* part_energy = state_.part_energy();
+    const double* part_correct = state_.part_correct();
+    const double* part_samples = state_.part_samples();
     for (std::size_t i = 0; i < num_edges_; ++i) {
-      slot_inference += part_inference_[i];
-      slot_switch_cost += part_switch_cost_[i];
-      if (part_switched_[i]) ++result_.total_switches;
-      ++result_.selection_counts[i][part_model_[i]];
-      slot_energy_kwh += part_energy_[i];
-      weighted_correct += part_correct_[i];
-      slot_samples += part_samples_[i];
+      slot_inference += part_inference[i];
+      slot_switch_cost += part_switch_cost[i];
+      if (part_switched[i]) ++result_.total_switches;
+      ++result_.selection_counts[i][part_model[i]];
+      slot_energy_kwh += part_energy[i];
+      weighted_correct += part_correct[i];
+      slot_samples += part_samples[i];
     }
     if (obs_detail_) {
       static const obs::MetricId obs_switches = obs::counter("sim.switches");
@@ -278,6 +291,7 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
                     << std::max(0.0, allowance_balance_ + trade.buy));
 #endif
   allowance_balance_ += trade.buy - trade.sell - emission;
+  emission_total_ += emission;
   result_.inference_cost.push_back(slot_inference);
   result_.switching_cost.push_back(slot_switch_cost);
   result_.emissions.push_back(emission);
@@ -308,7 +322,7 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
     // re-summed from the per-edge partials in the same reduction order.
     double audit_energy = 0.0;
     for (std::size_t i = 0; i < num_edges_; ++i)
-      audit_energy += part_energy_[i];
+      audit_energy += state_.part_energy()[i];
     CEA_CHECK(emission == config.emission_rate * audit_energy &&
                   std::isfinite(emission) && emission >= 0.0,
               "simulator.emission_identity", audit::kNoIndex, t_, emission,
@@ -343,7 +357,7 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
   if (observer_ != nullptr) {
     obs_model_counts_.assign(num_models_, 0);
     for (std::size_t i = 0; i < num_edges_; ++i)
-      ++obs_model_counts_[part_model_[i]];
+      ++obs_model_counts_[state_.part_model()[i]];
     SlotObservation observed;
     observed.slot = t_;
     observed.model_counts = obs_model_counts_;
@@ -362,26 +376,10 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
     observed.trading_cost = result_.trading_cost.back();
     observed.accuracy = result_.accuracy.back();
     observed.workload = result_.workload.back();
-    observer_->on_slot(observed);
+    observer_->on_tenant_slot(observer_tenant_, observed);
   }
 
-  slot_workload_ = nullptr;
   ++t_;
-}
-
-void SlotEngine::step() {
-  CEA_SPAN("sim.slot");
-  const trading::TradeObservation quote{env_.prices().buy[t_],
-                                        env_.prices().sell[t_]};
-  const trading::TradeDecision trade = begin_slot(quote);
-  finish_slot(quote, trade, nullptr);
-}
-
-void SlotEngine::step(const trading::TradeObservation& quote,
-                      const int* slot_workload) {
-  CEA_SPAN("sim.slot");
-  const trading::TradeDecision trade = begin_slot(quote);
-  finish_slot(quote, trade, slot_workload);
 }
 
 const RunResult& SlotEngine::result() noexcept {
@@ -400,6 +398,8 @@ void SlotEngine::save_state(util::StateWriter& writer) const {
   writer.write_u64("engine.slot", t_);
   writer.write_u64("engine.edges", num_edges_);
   writer.write_u64("engine.models", num_models_);
+  writer.write_u64("engine.horizon", env_.horizon());
+  writer.write_u64("engine.env_fingerprint", env_fingerprint_);
   writer.write_string("engine.algorithm", result_.algorithm);
   writer.write_double("engine.balance", allowance_balance_);
   writer.write_u64("engine.total_switches", result_.total_switches);
@@ -417,17 +417,13 @@ void SlotEngine::save_state(util::StateWriter& writer) const {
     for (std::size_t c : row) scratch.push_back(c);
   writer.write_u64s("engine.selection_counts", scratch);
   scratch.clear();
-  for (std::size_t i = 0; i < num_edges_; ++i)
-    scratch.push_back(previous_model_[i]);
+  const std::uint32_t* previous_model = state_.previous_model();
+  scratch.assign(previous_model, previous_model + num_edges_);
   writer.write_u64s("engine.previous_model", scratch);
-  if (fixed_choices_) {
-    writer.write_string("engine.policy", "fixed");
-  } else {
-    writer.write_string("engine.policy", fleet_->name());
-    if (!fleet_->save_state(writer)) {
-      throw util::StateError("checkpoint: fleet policy '" + fleet_->name() +
-                             "' does not support checkpointing");
-    }
+  writer.write_string("engine.policy", fleet_->name());
+  if (!fleet_->save_state(writer)) {
+    throw util::StateError("checkpoint: fleet policy '" + fleet_->name() +
+                           "' does not support checkpointing");
   }
   writer.write_string("engine.trader", trader_->name());
   if (!trader_->save_state(writer)) {
@@ -446,6 +442,18 @@ void SlotEngine::restore_state(util::StateReader& reader) {
         std::to_string(edges) + "x" + std::to_string(models) +
         ", engine " + std::to_string(num_edges_) + "x" +
         std::to_string(num_models_) + ")");
+  }
+  const std::uint64_t horizon = reader.read_u64("engine.horizon");
+  if (horizon != env_.horizon()) {
+    throw util::StateError("checkpoint: engine.horizon mismatch (checkpoint " +
+                           std::to_string(horizon) + ", engine " +
+                           std::to_string(env_.horizon()) + ")");
+  }
+  if (reader.read_u64("engine.env_fingerprint") != env_fingerprint_) {
+    throw util::StateError(
+        "checkpoint: engine.env_fingerprint mismatch (the checkpoint was "
+        "written for a different scenario: cap, trade box, emission rate, "
+        "draw cap, loss shift, holdings clamp, prices or edge costs)");
   }
   const std::string algorithm = reader.read_string("engine.algorithm");
   if (algorithm != result_.algorithm) {
@@ -473,23 +481,16 @@ void SlotEngine::restore_state(util::StateReader& reader) {
     if (hosted[i] != FleetState::kNoModel && hosted[i] >= num_models_) {
       throw util::StateError("checkpoint: hosted model out of range");
     }
-    previous_model_[i] = static_cast<std::uint32_t>(hosted[i]);
+    state_.previous_model()[i] = static_cast<std::uint32_t>(hosted[i]);
   }
   const std::string policy = reader.read_string("engine.policy");
-  if (fixed_choices_) {
-    if (policy != "fixed") {
-      throw util::StateError("checkpoint: policy mismatch (checkpoint '" +
-                             policy + "', engine 'fixed')");
-    }
-  } else {
-    if (policy != fleet_->name()) {
-      throw util::StateError("checkpoint: policy mismatch (checkpoint '" +
-                             policy + "', engine '" + fleet_->name() + "')");
-    }
-    if (!fleet_->load_state(reader)) {
-      throw util::StateError("checkpoint: fleet policy '" + fleet_->name() +
-                             "' does not support checkpointing");
-    }
+  if (policy != fleet_->name()) {
+    throw util::StateError("checkpoint: policy mismatch (checkpoint '" +
+                           policy + "', engine '" + fleet_->name() + "')");
+  }
+  if (!fleet_->load_state(reader)) {
+    throw util::StateError("checkpoint: fleet policy '" + fleet_->name() +
+                           "' does not support checkpointing");
   }
   const std::string trader = reader.read_string("engine.trader");
   if (trader != trader_->name()) {
@@ -501,6 +502,10 @@ void SlotEngine::restore_state(util::StateReader& reader) {
                            "' does not support checkpointing");
   }
   t_ = slot;
+  // Same slot-order accumulation as finish_slot: the same bits as the
+  // uninterrupted run's running total.
+  emission_total_ = 0.0;
+  for (const double emission : result_.emissions) emission_total_ += emission;
 #if defined(CEA_AUDIT)
   // Rebuild the independent audit ledger from the restored series in the
   // same per-slot accumulation order the uninterrupted run used.

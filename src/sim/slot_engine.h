@@ -1,24 +1,23 @@
 #pragma once
 
-// The simulator turned inside-out: one slot of the Fig. 2 workflow as an
-// explicit state machine (ROADMAP item "long-running serving daemon").
+// One slot of the Fig. 2 workflow as an explicit state machine, and the
+// only implementation of it: begin_slot(quote) runs the presolve and the
+// trading decision; finish_slot(quote, trade, workload) runs the pooled
+// edge fan-out, the serial edge-ordered reduction, the ledger update and
+// the trader feedback. The caller supplies every input of a slot — the
+// price quote and one workload count per edge — so the same arithmetic
+// (bit for bit; the golden traces pin it) serves the batch Simulator,
+// which feeds the environment's own traces, and the serving daemon
+// (src/serve/), which feeds live ones. Between the two calls the caller
+// may adjust the decision (ServeController clears it against a shared
+// market).
 //
-// Simulator::run_impl used to own the whole horizon loop, which made the
-// controller usable only as a closed batch simulation. SlotEngine extracts
-// the loop body — presolve, trading decision, pooled edge fan-out, serial
-// edge-ordered reduction, ledger update, trader feedback — behind a
-// step()/begin_slot()/finish_slot() API, so the same arithmetic (bit for
-// bit; the golden traces pin it through Simulator) can be driven either by
-// the batch Simulator over Environment traces or slot-by-slot by the
-// serving daemon (src/serve/) from live feeds.
-//
-// Pure state machine: no file I/O, no clock, no feed knowledge. The only
-// inputs of a slot are the price quote and the per-edge workload counts;
-// everything else (policies, trader, draw streams, ledger) lives inside
-// and is snapshotted bit-exactly by save_state()/restore_state() — the
-// checkpoint contract is that an engine restored at any slot boundary
-// continues exactly like the uninterrupted one (tests/serve/
-// test_checkpoint.cpp).
+// Pure state machine: no file I/O, no clock, no feed knowledge. Model
+// choice goes only through the bandit::FleetPolicy the engine owns, and
+// everything mutable (policy, trader, draw streams, ledger) is snapshotted
+// bit-exactly by save_state()/restore_state() — the checkpoint contract is
+// that an engine restored at any slot boundary continues exactly like the
+// uninterrupted one (tests/serve/test_checkpoint.cpp).
 
 #include <cstdint>
 #include <functional>
@@ -66,26 +65,28 @@ struct SlotObservation {
   double accuracy = 0.0, workload = 0.0;
 };
 
-/// Observer attached via SlotEngine::set_observer. Called synchronously on
-/// the engine-driving thread at a pool-quiescent point; must not call back
-/// into the engine. Observational only: the engine's arithmetic is
-/// identical with or without an observer attached.
+/// Per-slot decision observer, attached via SlotEngine::set_observer.
+/// `tenant` is the index the driver passed to set_observer, so one observer
+/// can serve several engines (ServeController attaches the daemon's to
+/// every tenant). Called synchronously on the engine-driving thread at a
+/// pool-quiescent point; must not call back into the engine. Observational
+/// only: the engine's arithmetic is identical with or without an observer
+/// attached.
 class SlotObserver {
  public:
   virtual ~SlotObserver() = default;
-  virtual void on_slot(const SlotObservation& observed) = 0;
+  virtual void on_tenant_slot(std::size_t tenant,
+                              const SlotObservation& observed) = 0;
 };
 
 class SlotEngine {
  public:
-  /// `fleet` may be null only with `fixed_models` set (the run_fixed
-  /// path). The environment must outlive the engine (FleetState aliases
-  /// its rows).
+  /// The environment must outlive the engine (FleetState aliases its loss
+  /// profiles).
   SlotEngine(const Environment& env, const SimOptions& options,
              std::unique_ptr<bandit::FleetPolicy> fleet,
              std::unique_ptr<trading::TradingPolicy> trader,
-             std::uint64_t run_seed, std::string algorithm_name,
-             const std::vector<std::size_t>* fixed_models = nullptr);
+             std::uint64_t run_seed, std::string algorithm_name);
 
   SlotEngine(const SlotEngine&) = delete;
   SlotEngine& operator=(const SlotEngine&) = delete;
@@ -94,29 +95,33 @@ class SlotEngine {
   std::size_t slot() const noexcept { return t_; }
   std::size_t num_edges() const noexcept { return num_edges_; }
   std::size_t num_models() const noexcept { return num_models_; }
+  /// Allowance balance R + sum(z - w - e) after the slots executed so far.
   double allowance_balance() const noexcept { return allowance_balance_; }
-  const std::string& algorithm() const noexcept { return result_.algorithm; }
+  /// Sum of the slots' emissions e^t, accumulated in slot order.
+  double emission_total() const noexcept { return emission_total_; }
+  /// The trader's dual state after the latest feedback (λ for
+  /// Algorithm 2; TradingPolicy::dual_value).
+  double trader_dual() const { return trader_->dual_value(); }
 
-  /// Batch path: advance one slot on the environment's own traces.
-  void step();
-
-  /// Streaming path: advance one slot on live inputs. `slot_workload` is
-  /// one count per edge (nullptr = use the environment trace at slot()).
-  void step(const trading::TradeObservation& quote, const int* slot_workload);
-
-  /// Split-phase path for multi-tenant market clearing: begin_slot runs
-  /// the trader's decision, preceded in a serial engine by the cross-edge
-  /// presolve (SimOptions::pool); the caller may
-  /// then adjust the decision (e.g. clamp to shared market liquidity)
-  /// before finish_slot executes the edge fan-out, the ledger update, and
-  /// the trader feedback with the executed trade.
+  /// First half of a slot: the cross-edge presolve (serial engines only,
+  /// see SimOptions::pool) and the trader's decision on `quote`.
   trading::TradeDecision begin_slot(const trading::TradeObservation& quote);
-  void finish_slot(const trading::TradeObservation& quote,
-                   trading::TradeDecision trade, const int* slot_workload);
 
-  /// Attach (or detach with nullptr) the per-slot decision observer. The
-  /// observer must outlive the engine or be detached first.
-  void set_observer(SlotObserver* observer) { observer_ = observer; }
+  /// Second half: execute `trade` (after the holdings clamp) with
+  /// `workload[i]` samples arriving at edge i — one count per edge — then
+  /// reduce, settle the ledger, feed the trader the executed trade and
+  /// notify the observer.
+  void finish_slot(const trading::TradeObservation& quote,
+                   trading::TradeDecision trade,
+                   std::span<const int> workload);
+
+  /// Attach (or detach with nullptr) the per-slot decision observer;
+  /// `tenant` is handed back on every callback. The observer must outlive
+  /// the engine or be detached first.
+  void set_observer(SlotObserver* observer, std::size_t tenant) {
+    observer_ = observer;
+    observer_tenant_ = tenant;
+  }
 
   /// Slots executed so far, as a RunResult (series have length slot()).
   const RunResult& result() noexcept;
@@ -129,6 +134,10 @@ class SlotEngine {
   /// util::StateError when the policy or trader does not implement
   /// checkpointing.
   void save_state(util::StateWriter& writer) const;
+  /// Throws util::StateError on a damaged payload or one written by an
+  /// engine with a different shape, horizon, environment fingerprint,
+  /// algorithm, policy or trader; the shape, horizon and fingerprint are
+  /// checked before any state changes.
   void restore_state(util::StateReader& reader);
 
  private:
@@ -139,35 +148,20 @@ class SlotEngine {
   SimOptions options_;
   std::unique_ptr<bandit::FleetPolicy> fleet_;
   std::unique_ptr<trading::TradingPolicy> trader_;
-  bool fixed_choices_ = false;
-  std::vector<std::size_t> fixed_models_;
 
   std::size_t num_edges_ = 0;
   std::size_t num_models_ = 0;
   std::uint64_t draw_seed_ = 0;
+  /// util::checkpoint_checksum over every environment value the engine,
+  /// its fleet policy and its trader read (see the constructor). Written
+  /// to checkpoints so a restore into a different scenario is refused.
+  std::uint64_t env_fingerprint_ = 0;
 
   RunResult result_;
   FleetState state_;
 
-  // Cached FleetState arrays (see sim/fleet_state.h for the layout).
-  const double* energy_per_sample_ = nullptr;
-  const double* mean_loss_ = nullptr;
-  const data::LossProfile* const* profiles_ = nullptr;
-  const std::uint32_t* shift_target_ = nullptr;
-  const double* edge_switch_cost_ = nullptr;
-  const double* comp_cost_ = nullptr;
-  const double* transfer_energy_ = nullptr;
-  const int* const* edge_workload_ = nullptr;
-  std::uint32_t* previous_model_ = nullptr;
-  double* part_inference_ = nullptr;
-  double* part_switch_cost_ = nullptr;
-  double* part_energy_ = nullptr;
-  double* part_correct_ = nullptr;
-  double* part_samples_ = nullptr;
-  std::uint32_t* part_model_ = nullptr;
-  std::uint8_t* part_switched_ = nullptr;
-
   double allowance_balance_ = 0.0;
+  double emission_total_ = 0.0;
 #if defined(CEA_AUDIT)
   double audit_net_flow_ = 0.0;
 #endif
@@ -182,6 +176,7 @@ class SlotEngine {
   const int* slot_workload_ = nullptr;
   bool obs_detail_ = false;
   SlotObserver* observer_ = nullptr;
+  std::size_t observer_tenant_ = 0;
   std::vector<std::uint64_t> obs_model_counts_;  ///< per-slot scratch
 
   // Hoisted shard closure: no std::function construction per slot.

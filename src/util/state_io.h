@@ -160,7 +160,9 @@ std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 /// so any change confined to one word or tail byte always changes the sum.
 std::uint64_t checkpoint_checksum(std::string_view bytes) noexcept;
 
-inline constexpr int kCheckpointVersion = 2;
+/// v3: each engine section carries engine.horizon and
+/// engine.env_fingerprint after its shape (DESIGN §11).
+inline constexpr int kCheckpointVersion = 3;
 
 /// Serialize `payload` into the envelope format (header + payload bytes).
 std::string encode_checkpoint(std::string_view payload);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "data/loss_sampling.h"
 #include "nn/layers.h"
 
 namespace cea::data {
@@ -109,6 +113,67 @@ TEST(LossProfile, DrawBatchDeterministicPerSeed) {
   EXPECT_DOUBLE_EQ(ba.loss_sum, bb.loss_sum);
   EXPECT_EQ(ba.correct_count, bb.correct_count);
   EXPECT_NE(ba.loss_sum, bc.loss_sum);
+}
+
+// Interleaved [loss, correct] float32 pairs, the layout of a LossProfile's
+// pair table.
+std::vector<float> random_pair_table(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> pairs(2 * size);
+  for (std::size_t k = 0; k < size; ++k) {
+    pairs[2 * k] = static_cast<float>(rng.uniform(0.0, 2.0));
+    pairs[2 * k + 1] = rng.uniform() < 0.7 ? 1.0f : 0.0f;
+  }
+  return pairs;
+}
+
+using Kernel = LossBatch (*)(const float*, std::uint64_t, std::uint64_t,
+                             std::size_t) noexcept;
+
+// `kernel` reproduces the scalar kernel bit for bit — loss_sum bits and
+// correct_count — over several table sizes, keys and batch sizes covering
+// the empty batch, every tail length, and whole and partial octets.
+void expect_matches_scalar(Kernel kernel) {
+  std::vector<std::size_t> batch_sizes;
+  for (std::size_t n = 0; n <= 17; ++n) batch_sizes.push_back(n);
+  for (const std::size_t n : {63, 64, 65, 400}) batch_sizes.push_back(n);
+  const std::uint64_t keys[] = {0, 1, 0x9E3779B97F4A7C15ULL,
+                                stream_seed(42, 7, 3), ~std::uint64_t{0}};
+  for (const std::size_t size : {1, 2, 5, 8, 257, 4096, 100000}) {
+    const std::vector<float> pairs = random_pair_table(size, size);
+    for (const std::uint64_t key : keys) {
+      for (const std::size_t n : batch_sizes) {
+        const LossBatch expected =
+            detail::draw_batch_kernel_scalar(pairs.data(), size, key, n);
+        const LossBatch actual = kernel(pairs.data(), size, key, n);
+        EXPECT_EQ(std::memcmp(&expected.loss_sum, &actual.loss_sum,
+                              sizeof(double)),
+                  0)
+            << "size " << size << " key " << key << " n " << n << ": "
+            << expected.loss_sum << " vs " << actual.loss_sum;
+        EXPECT_EQ(expected.correct_count, actual.correct_count)
+            << "size " << size << " key " << key << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(LossSamplingKernels, Avx2MatchesScalarBitForBit) {
+#if defined(__x86_64__)
+  if (!detail::have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  expect_matches_scalar(&detail::draw_batch_kernel_avx2);
+#else
+  GTEST_SKIP() << "x86-64 only";
+#endif
+}
+
+TEST(LossSamplingKernels, Avx512MatchesScalarBitForBit) {
+#if defined(__x86_64__)
+  if (!detail::have_avx512()) GTEST_SKIP() << "no AVX-512VL/DQ on this host";
+  expect_matches_scalar(&detail::draw_batch_kernel_avx512);
+#else
+  GTEST_SKIP() << "x86-64 only";
+#endif
 }
 
 TEST(ParametricProfile, RespectsTargets) {

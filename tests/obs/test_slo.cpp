@@ -145,6 +145,39 @@ TEST(SloWatchdog, IdenticalInputsRaiseIdenticalAlerts) {
   }
 }
 
+TEST(SloWatchdog, AlertsDependOnlyOnTheWindowSlotAndBalance) {
+  // A tenant's alerts are a function of its last `window` emissions, the
+  // slot and the balance — not of what came before the window — so a
+  // restore that replays only the window rebuilds the watchdog exactly.
+  // One watchdog first sees a huge emission that has left the window; the
+  // other never saw it.
+  SloConfig config;
+  config.window = 4;
+  SloWatchdog long_history(config, 1);
+  SloWatchdog window_only(config, 1);
+  long_history.observe_slot(0, slot(0, 1e17, 1e30));
+  for (std::uint64_t t = 1; t <= 4; ++t) {
+    long_history.observe_slot(0, slot(t, 0.1, 1e30));
+    window_only.observe_slot(0, slot(t, 0.1, 1e30));
+  }
+  EXPECT_TRUE(long_history.drain().empty());
+  EXPECT_TRUE(window_only.drain().empty());
+
+  long_history.observe_slot(0, slot(5, 0.1, 0.5));
+  window_only.observe_slot(0, slot(5, 0.1, 0.5));
+  const auto a = long_history.drain();
+  const auto b = window_only.drain();
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(a[0].kind, SloKind::kProjectedCapBreach);
+  EXPECT_EQ(a[0].kind, b[0].kind);
+  EXPECT_EQ(a[0].slot, b[0].slot);
+  EXPECT_EQ(std::memcmp(&a[0].value, &b[0].value, sizeof(double)), 0)
+      << a[0].value << " vs " << b[0].value;
+  EXPECT_EQ(std::memcmp(&a[0].threshold, &b[0].threshold, sizeof(double)),
+            0);
+}
+
 TEST(SloWatchdog, KindNamesAreStable) {
   // The journal's alert field and the metrics labels depend on these
   // exact spellings; renaming them is a format break.

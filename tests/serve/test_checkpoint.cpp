@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "../integration/golden_trace.h"
+#include "bandit/fleet_policy.h"
 #include "serve/controller.h"
 #include "serve/daemon.h"
 #include "serve/feed.h"
@@ -138,6 +139,30 @@ TEST(CheckpointRoundTrip, EverySlotBoundaryRestoresBitIdentically) {
     EXPECT_TRUE(diffs.empty())
         << "checkpoint at slot " << k << ":\n" << join_diffs(diffs);
   }
+}
+
+TEST(CheckpointRoundTrip, FixedPolicyTenantRestoresBitIdentically) {
+  // The fixed policy is stateless: its checkpoint section is empty, and a
+  // tenant restored mid-run continues exactly like the uninterrupted one.
+  constexpr std::size_t kHorizon = 12;
+  auto spec = make_spec("fixed", 21, 5, kHorizon, /*edges=*/2);
+  spec.combo.name = "Fixed";
+  spec.combo.policy = bandit::fixed_policy({1, 4});
+  SyntheticFeed feed(2, 77);
+
+  ServeController reference({spec}, sim::SimOptions{});
+  drive(reference, feed, kHorizon);
+
+  ServeController first_life({spec}, sim::SimOptions{});
+  drive(first_life, feed, kHorizon / 2);
+  ServeController second_life({spec}, sim::SimOptions{});
+  second_life.restore_payload(first_life.checkpoint_payload());
+  drive(second_life, feed, kHorizon);
+  expect_identical(reference, second_life);
+  const auto& counts =
+      second_life.tenant_engine(0).result().selection_counts;
+  EXPECT_EQ(counts[0][1], kHorizon);
+  EXPECT_EQ(counts[1][4], kHorizon);
 }
 
 // ---------------------------------------------------------------------------
@@ -297,6 +322,56 @@ TEST_F(CheckpointRejectionTest, RestoreRejectsMismatchedConfigurations) {
     ServeController other(changed, sim::SimOptions{});
     EXPECT_THROW(other.restore_payload(payload), util::StateError);
   }
+  // The scenario itself: each engine's horizon and environment
+  // fingerprint. A restore into a different horizon would continue with
+  // that horizon's step sizes and R/T, which no uninterrupted run has.
+  const auto expect_rejected = [&payload](std::vector<TenantSpec> changed,
+                                          const std::string& field) {
+    ServeController other(changed, sim::SimOptions{});
+    try {
+      other.restore_payload(payload);
+      ADD_FAILURE() << field << ": mismatched checkpoint restored";
+    } catch (const util::StateError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  {  // horizon
+    auto changed = specs();
+    changed[1].scenario.horizon = 24;
+    changed[1].scenario.workload.num_slots = 24;
+    expect_rejected(changed, "engine.horizon");
+  }
+  {  // carbon cap
+    auto changed = specs();
+    changed[0].scenario.carbon_cap *= 2.0;
+    expect_rejected(changed, "engine.env_fingerprint");
+  }
+  {  // trade box
+    auto changed = specs();
+    changed[1].scenario.max_trade_per_slot += 1.0;
+    expect_rejected(changed, "engine.env_fingerprint");
+  }
+  {  // scenario seed
+    auto changed = specs();
+    changed[1].scenario.seed += 1;
+    expect_rejected(changed, "engine.env_fingerprint");
+  }
+}
+
+TEST_F(CheckpointRejectionTest, MismatchLeavesTheEngineUntouched) {
+  // The shape, horizon and fingerprint are checked before any state
+  // changes: the rejected engine still runs like a fresh one.
+  const std::string payload = make_payload();
+  auto changed = specs();
+  changed[0].scenario.carbon_cap *= 2.0;
+  ServeController rejected(changed, sim::SimOptions{});
+  EXPECT_THROW(rejected.restore_payload(payload), util::StateError);
+  ServeController fresh(changed, sim::SimOptions{});
+  SyntheticFeed feed(6, 9);
+  drive(rejected, feed, 4);
+  drive(fresh, feed, 4);
+  expect_identical(fresh, rejected);
 }
 
 TEST_F(CheckpointRejectionTest, RestoreRejectsFieldCorruptedPayload) {

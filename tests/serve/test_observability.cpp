@@ -298,6 +298,63 @@ TEST(MetricsExposition, DaemonPublishesWellFormedPrometheusText) {
   remove_dir(journal_dir);
 }
 
+// The page's cea_tenant_* lines, in page order.
+std::vector<std::string> tenant_lines(const std::string& page) {
+  std::vector<std::string> lines;
+  std::istringstream in(page);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("cea_tenant_", 0) == 0) lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(MetricsExposition, RestoredPageMatchesTheUninterruptedPage) {
+  // A daemon restored at slot 80 that runs zero slots publishes the same
+  // tenant gauges — balance, emissions, burn rate, solvency, trader dual,
+  // switches — as the life that wrote the checkpoint: every gauge is read
+  // from the engines, whose state the checkpoint restores.
+  const std::string ckpt = ::testing::TempDir() + "cea_obs_metrics_ckpt";
+  const std::string first_page =
+      ::testing::TempDir() + "cea_obs_metrics_first.prom";
+  const std::string restored_page =
+      ::testing::TempDir() + "cea_obs_metrics_restored.prom";
+  std::remove(ckpt.c_str());
+  const std::vector<TenantSpec> specs = {make_spec("alpha", 17, 7, 160),
+                                         make_spec("beta", 18, 8, 160)};
+  {
+    ServeController controller(specs, sim::SimOptions{}, MarketRule{2.0});
+    SyntheticFeed feed(6, 1234);
+    DaemonConfig config;
+    config.checkpoint_path = ckpt;
+    config.metrics_path = first_page;
+    config.max_slots = 80;
+    ServeDaemon daemon(controller, feed, config);
+    ASSERT_EQ(daemon.run().final_slot, 80u);
+  }
+  {
+    ServeController controller(specs, sim::SimOptions{}, MarketRule{2.0});
+    SyntheticFeed feed(6, 1234);
+    DaemonConfig config;
+    config.checkpoint_path = ckpt;
+    config.metrics_path = restored_page;
+    config.max_slots = 80;
+    ServeDaemon daemon(controller, feed, config);
+    ASSERT_TRUE(daemon.restore_if_present());
+    ASSERT_EQ(daemon.run().slots_processed, 0u);
+  }
+  const auto expected = tenant_lines(read_bytes(first_page));
+  const auto actual = tenant_lines(read_bytes(restored_page));
+  ASSERT_EQ(expected.size(), 12u);  // six gauges x two tenants
+  EXPECT_EQ(expected, actual);
+  for (const std::string& line : actual) {
+    EXPECT_EQ(line.find("NaN"), std::string::npos) << line;
+  }
+  std::remove(ckpt.c_str());
+  std::remove(first_page.c_str());
+  std::remove(restored_page.c_str());
+}
+
 TEST(MetricsExposition, TcpEndpointServesTheLatestPage) {
   MetricsServer server(0);  // ephemeral port
   ASSERT_GT(server.port(), 0);

@@ -493,6 +493,23 @@ TEST(Checkpoint, RejectsVersionOneTextCheckpoint) {
   }
 }
 
+TEST(Checkpoint, RejectsVersionTwoCheckpoint) {
+  // A v2 envelope is intact but lacks the v3 engine records
+  // (engine.horizon, engine.env_fingerprint): refused by version.
+  std::string file = encode_checkpoint("k u64 1\n");
+  const auto pos = file.find(" v" + std::to_string(kCheckpointVersion) + " ");
+  ASSERT_NE(pos, std::string::npos);
+  file.replace(pos, 3, " v2");
+  try {
+    decode_checkpoint(file);
+    FAIL() << "a v2 checkpoint was accepted";
+  } catch (const StateError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version v2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Checkpoint, EncodeDecodeRoundTrip) {
   const std::string payload = "engine.slot u64 5\nengine.x d 0x1.8p+3\n";
   EXPECT_EQ(decode_checkpoint(encode_checkpoint(payload)), payload);

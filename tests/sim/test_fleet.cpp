@@ -103,7 +103,8 @@ TEST(FleetEngine, ZeroOverflowsAcrossEngineModes) {
   EXPECT_EQ(run_combo_pooled(env, combo, 2, &pool).arena_overflows, 0u);
   const Simulator simulator(env);
   const std::vector<std::size_t> choice(env.num_edges(), 0);
-  EXPECT_EQ(simulator.run_fixed(choice, combo.trader, 2, "fixed")
+  EXPECT_EQ(simulator.run(bandit::fixed_policy(choice), combo.trader, 2,
+                          "fixed")
                 .arena_overflows,
             0u);
 }

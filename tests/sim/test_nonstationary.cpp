@@ -26,10 +26,10 @@ TEST(Nonstationary, ZeroShiftSlotDisablesDrift) {
   const auto env_b = Environment::make_parametric(no_field);
   Simulator sim_a(env_a), sim_b(env_b);
   const std::vector<std::size_t> fixed = {0, 0};
-  const auto a = sim_a.run_fixed(fixed, trading::RandomTrader::factory(), 3,
-                                 "a");
-  const auto b = sim_b.run_fixed(fixed, trading::RandomTrader::factory(), 3,
-                                 "b");
+  const auto a = sim_a.run(bandit::fixed_policy(fixed),
+                           trading::RandomTrader::factory(), 3, "a");
+  const auto b = sim_b.run(bandit::fixed_policy(fixed),
+                           trading::RandomTrader::factory(), 3, "b");
   EXPECT_EQ(a.inference_cost, b.inference_cost);
 }
 
@@ -40,8 +40,9 @@ TEST(Nonstationary, InferenceCostFlipsAtShift) {
   Simulator simulator(env);
   const std::vector<std::size_t> best_fixed = {env.best_model(0),
                                                env.best_model(1)};
-  const auto result = simulator.run_fixed(
-      best_fixed, trading::RandomTrader::factory(), 3, "fixed-best");
+  const auto result =
+      simulator.run(bandit::fixed_policy(best_fixed),
+                    trading::RandomTrader::factory(), 3, "fixed-best");
   // Post-shift per-slot inference cost strictly exceeds pre-shift.
   EXPECT_GT(result.inference_cost[shift + 1],
             result.inference_cost[shift - 1]);
@@ -78,8 +79,9 @@ TEST(Nonstationary, AccuracyDropsAtShiftForFixedChoice) {
       best = n;
   }
   const std::vector<std::size_t> fixed = {best, best};
-  const auto result = simulator.run_fixed(
-      fixed, trading::RandomTrader::factory(), 3, "fixed-best-loss");
+  const auto result =
+      simulator.run(bandit::fixed_policy(fixed),
+                    trading::RandomTrader::factory(), 3, "fixed-best-loss");
   double pre = 0.0, post = 0.0;
   for (std::size_t t = 0; t < shift; ++t) pre += result.accuracy[t];
   for (std::size_t t = shift; t < 80; ++t) post += result.accuracy[t];

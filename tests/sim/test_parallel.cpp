@@ -97,8 +97,9 @@ TEST(ParallelEngine, PoolRunFixedBitIdenticalToSerial) {
   util::ThreadPool pool(3);
   const Simulator parallel(env, {.pool = &pool});
   auto trader = trading::RandomTrader::factory();
-  expect_bit_identical(serial.run_fixed(choice, trader, 11, "fixed"),
-                       parallel.run_fixed(choice, trader, 11, "fixed"));
+  const auto fixed = bandit::fixed_policy(choice);
+  expect_bit_identical(serial.run(fixed, trader, 11, "fixed"),
+                       parallel.run(fixed, trader, 11, "fixed"));
 }
 
 TEST(ParallelEngine, RepeatedPoolRunsAreDeterministic) {

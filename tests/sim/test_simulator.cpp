@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "bandit/fleet_policy.h"
 #include "bandit/greedy_policy.h"
 #include "bandit/random_policy.h"
@@ -134,14 +136,28 @@ TEST(Simulator, RunFixedHoldsChoices) {
   const auto env = Environment::make_parametric(small_config());
   Simulator simulator(env);
   const std::vector<std::size_t> choice = {2, 2, 2};
-  const auto result = simulator.run_fixed(
-      choice, trading::RandomTrader::factory(), 10, "fixed");
+  const auto result = simulator.run(bandit::fixed_policy(choice),
+                                    trading::RandomTrader::factory(), 10,
+                                    "fixed");
   for (const auto& counts : result.selection_counts) {
     EXPECT_EQ(counts[2], 50u);
   }
   // Holding a fixed model never switches; the initial download is free of
   // switching cost (it still pays transfer energy).
   EXPECT_EQ(result.total_switches, 0u);
+}
+
+TEST(Simulator, FixedPolicyRejectsMismatchedChoices) {
+  const auto env = Environment::make_parametric(small_config());
+  Simulator simulator(env);
+  const auto trader = trading::RandomTrader::factory();
+  // One choice short of the three edges.
+  EXPECT_THROW(simulator.run(bandit::fixed_policy({0, 0}), trader, 1, "f"),
+               std::invalid_argument);
+  // A model index past the last model.
+  EXPECT_THROW(simulator.run(bandit::fixed_policy({0, env.num_models(), 0}),
+                             trader, 1, "f"),
+               std::invalid_argument);
 }
 
 TEST(Simulator, TradingCostMatchesDecisionsAndPrices) {
@@ -163,8 +179,9 @@ TEST(Simulator, InferenceCostUsesExpectedLoss) {
   const auto env = Environment::make_parametric(small_config());
   Simulator simulator(env);
   const std::vector<std::size_t> choice = {1, 1, 1};
-  const auto result = simulator.run_fixed(
-      choice, trading::RandomTrader::factory(), 12, "fixed");
+  const auto result = simulator.run(bandit::fixed_policy(choice),
+                                    trading::RandomTrader::factory(), 12,
+                                    "fixed");
   double expected = 0.0;
   for (std::size_t i = 0; i < 3; ++i)
     expected += env.models()[1].profile.mean_loss() +
