@@ -63,6 +63,21 @@ void ServeController::step(const trading::TradeObservation& quote,
         std::to_string(workload_all.size()) + " != total edges " +
         std::to_string(total_edges_));
   }
+  // A negative count would reach the engines as a huge sample count, so
+  // reject it here, before any tenant's state changes.
+  const auto negative = std::find_if(workload_all.begin(), workload_all.end(),
+                                     [](int count) { return count < 0; });
+  if (negative != workload_all.end()) {
+    std::size_t edge =
+        static_cast<std::size_t>(negative - workload_all.begin());
+    std::size_t tenant = 0;
+    while (edge >= tenants_[tenant].env->num_edges())
+      edge -= tenants_[tenant++].env->num_edges();
+    throw std::invalid_argument(
+        "ServeController::step: tenant '" + tenants_[tenant].name +
+        "' edge " + std::to_string(edge) + ": negative arrival count " +
+        std::to_string(*negative));
+  }
   // Phase 1: every tenant decides its trade on the shared quote.
   std::vector<trading::TradeDecision> trades;
   trades.reserve(tenants_.size());

@@ -74,7 +74,8 @@ class ServeController {
   /// per-tenant per-edge counts in tenant order (total_edges() wide). Each
   /// tenant's trade is decided first (begin_slot), then cleared against the
   /// shared per-slot liquidity in tenant-index order, then executed
-  /// (finish_slot).
+  /// (finish_slot). Throws std::invalid_argument, before any state changes,
+  /// on a width mismatch or a negative count.
   void step(const trading::TradeObservation& quote,
             std::span<const int> workload_all);
 

@@ -74,7 +74,8 @@ ReplayFeed::ReplayFeed(data::WorkloadTraces workload, data::PriceSeries prices,
       throw std::invalid_argument("ReplayFeed: ragged workload traces");
     }
   }
-  if (num_slots_ == 0 || prices_.size() < num_slots_) {
+  if (num_slots_ == 0 || prices_.buy.size() < num_slots_ ||
+      prices_.sell.size() < num_slots_) {
     throw std::invalid_argument(
         "ReplayFeed: price series shorter than the workload traces");
   }
@@ -104,6 +105,13 @@ SyntheticFeed::SyntheticFeed(std::size_t num_edges, std::uint64_t seed,
       market_(market) {
   if (num_edges_ == 0) {
     throw std::invalid_argument("SyntheticFeed: num_edges must be positive");
+  }
+  // poll() draws counts in [1, 1 + 2 * mean], which must fit an int.
+  if (!std::isfinite(mean_samples) ||
+      2.0 * mean_samples > static_cast<double>(INT_MAX - 1)) {
+    throw std::invalid_argument(
+        "SyntheticFeed: mean samples must be finite and at most (INT_MAX - "
+        "1) / 2, got " + std::to_string(mean_samples));
   }
 }
 

@@ -55,8 +55,8 @@ class FeedSource {
 /// modulo the trace length (soak testing).
 class ReplayFeed final : public FeedSource {
  public:
-  /// `workload` is [edge][slot]; `prices` must cover at least as many
-  /// slots as the workload. Throws std::invalid_argument on mismatch.
+  /// `workload` is [edge][slot]; both price series must cover at least as
+  /// many slots as the workload. Throws std::invalid_argument on mismatch.
   ReplayFeed(data::WorkloadTraces workload, data::PriceSeries prices,
              bool loop = false);
 
@@ -83,6 +83,9 @@ class ReplayFeed final : public FeedSource {
 /// kill/restore bit-identity gate relies on.
 class SyntheticFeed final : public FeedSource {
  public:
+  /// Counts are drawn uniformly from [1, 1 + 2 * mean_samples] (a mean
+  /// below 1 counts as 1). Throws std::invalid_argument on zero edges or a
+  /// mean that is not finite or exceeds (INT_MAX - 1) / 2.
   SyntheticFeed(std::size_t num_edges, std::uint64_t seed,
                 double mean_samples = 400.0,
                 data::MarketConfig market = {});

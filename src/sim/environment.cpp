@@ -101,11 +101,9 @@ void Environment::finish_build(const SimConfig& config, Rng& rng) {
   topology_ = data::generate_topology(config.num_edges, config.topology,
                                       topo_rng);
 
-  data::WorkloadConfig workload_config = config.workload;
-  workload_config.num_slots = config.horizon;
-  Rng workload_rng = rng.split();
-  workload_ = data::generate_workload(config.num_edges, workload_config,
-                                      workload_rng);
+  // The workload stream is split off in its place in the seed order, so
+  // prices and v_{i,n} keep their bits; the trace is drawn on first read.
+  workload_ = std::make_unique<LazyWorkload>(rng.split());
 
   Rng market_rng = rng.split();
   prices_ = data::generate_prices(config.horizon, config.market, market_rng);
@@ -129,6 +127,19 @@ void Environment::finish_build(const SimConfig& config, Rng& rng) {
                                     config.comp_cost_max);
     }
   }
+}
+
+const data::WorkloadTraces& Environment::workload() const {
+  std::call_once(workload_->generated, [this] {
+    data::WorkloadConfig workload_config = config_.workload;
+    workload_config.num_slots = config_.horizon;
+    // A copy: if generation throws, call_once lets the next call retry,
+    // and the retry must draw the same bits.
+    Rng rng = workload_->rng;
+    workload_->traces =
+        data::generate_workload(config_.num_edges, workload_config, rng);
+  });
+  return workload_->traces;
 }
 
 double Environment::switching_cost(std::size_t edge) const {
@@ -172,15 +183,26 @@ void Environment::replace_traces(data::WorkloadTraces workload,
           "replace_traces: expected " + std::to_string(config_.num_edges) +
           " edge traces, got " + std::to_string(workload.size()));
     }
-    for (const auto& trace : workload) {
+    for (std::size_t i = 0; i < workload.size(); ++i) {
+      const auto& trace = workload[i];
       if (trace.size() < config_.horizon) {
         throw std::invalid_argument(
             "replace_traces: trace shorter than the horizon (" +
             std::to_string(trace.size()) + " < " +
             std::to_string(config_.horizon) + ")");
       }
+      const auto negative = std::find_if(trace.begin(), trace.end(),
+                                         [](int count) { return count < 0; });
+      if (negative != trace.end()) {
+        throw std::invalid_argument(
+            "replace_traces: negative count " + std::to_string(*negative) +
+            " on edge " + std::to_string(i) + ", slot " +
+            std::to_string(negative - trace.begin()));
+      }
     }
-    workload_ = std::move(workload);
+    // Mark the trace generated without generating it, then install ours.
+    std::call_once(workload_->generated, [] {});
+    workload_->traces = std::move(workload);
   }
   if (!prices.buy.empty()) {
     if (prices.buy.size() < config_.horizon ||

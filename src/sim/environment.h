@@ -1,5 +1,7 @@
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -8,6 +10,7 @@
 #include "data/topology.h"
 #include "data/workload.h"
 #include "sim/config.h"
+#include "util/rng.h"
 
 namespace cea::sim {
 
@@ -22,6 +25,12 @@ struct ModelInfo {
 /// A fully instantiated scenario: models, edges, traces, and prices. All
 /// randomness is drawn from SimConfig::seed, so an Environment is a pure
 /// function of its config (plus optional externally trained profiles).
+///
+/// Construction costs O(E·N + horizon): the [E x horizon] workload trace is
+/// generated on the first workload() call, from the stream split off at
+/// construction, so an environment that only serves streamed counts (a
+/// serve::ServeController tenant) never builds it, and a batch run reads the
+/// same bits it always did.
 class Environment {
  public:
   /// Build with parametric loss profiles (no neural networks): the six
@@ -47,7 +56,11 @@ class Environment {
   const SimConfig& config() const noexcept { return config_; }
   const std::vector<ModelInfo>& models() const noexcept { return models_; }
   const data::Topology& topology() const noexcept { return topology_; }
-  const data::WorkloadTraces& workload() const noexcept { return workload_; }
+  /// The [edge][slot] arrival counts M_i^t over the horizon. The first
+  /// call generates them (O(E x horizon) time and memory; may throw
+  /// std::bad_alloc); concurrent first callers block on that one generation
+  /// and all get the same object.
+  const data::WorkloadTraces& workload() const;
   const data::PriceSeries& prices() const noexcept { return prices_; }
 
   std::size_t num_edges() const noexcept { return config_.num_edges; }
@@ -75,7 +88,8 @@ class Environment {
   /// external data (e.g. loaded through data/trace_io.h). Pass an empty
   /// container to keep the generated one. Throws std::invalid_argument on
   /// dimension mismatch (traces must be num_edges x horizon; prices must
-  /// cover the horizon).
+  /// cover the horizon) or a negative count (zero is a valid outage slot).
+  /// Not safe to call concurrently with workload().
   void replace_traces(data::WorkloadTraces workload, data::PriceSeries prices);
 
   /// Concept-drift target (SimConfig::loss_shift_slot): the model whose
@@ -87,10 +101,20 @@ class Environment {
   Environment() = default;
   void finish_build(const SimConfig& config, Rng& rng);
 
+  /// The workload trace and the stream it is drawn from, generated once by
+  /// workload(). Heap-held so Environment stays movable (std::once_flag
+  /// cannot move).
+  struct LazyWorkload {
+    explicit LazyWorkload(Rng stream) : rng(stream) {}
+    std::once_flag generated;
+    Rng rng;
+    data::WorkloadTraces traces;
+  };
+
   SimConfig config_;
   std::vector<ModelInfo> models_;
   data::Topology topology_;
-  data::WorkloadTraces workload_;
+  std::unique_ptr<LazyWorkload> workload_;
   data::PriceSeries prices_;
   std::vector<std::vector<double>> comp_cost_;  // [edge][model]
 };

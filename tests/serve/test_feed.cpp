@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -65,6 +66,10 @@ TEST(ReplayFeed, RejectsBadConstruction) {
   EXPECT_THROW(ReplayFeed({{1, 2, 3}}, make_prices(2)),
                std::invalid_argument);  // prices too short
   EXPECT_THROW(ReplayFeed({{}}, make_prices(0)), std::invalid_argument);
+  auto short_sell = make_prices(5);
+  short_sell.sell.resize(1);
+  EXPECT_THROW(ReplayFeed({{5, 5, 5, 5, 5}}, short_sell),
+               std::invalid_argument);  // sell prices too short
 }
 
 // --- SyntheticFeed --------------------------------------------------------
@@ -124,6 +129,25 @@ TEST(SyntheticFeed, WorkloadIsPositiveAndQuoteWellFormed) {
 
 TEST(SyntheticFeed, RejectsZeroEdges) {
   EXPECT_THROW(SyntheticFeed(0, 1), std::invalid_argument);
+}
+
+TEST(SyntheticFeed, RejectsMeansWhoseCountsOverflowAnInt) {
+  // Counts are drawn from [1, 1 + 2 * mean]; past INT_MAX they would wrap
+  // negative.
+  EXPECT_THROW(SyntheticFeed(3, 1, 3e9), std::invalid_argument);
+  EXPECT_THROW(SyntheticFeed(3, 1, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(SyntheticFeed(3, 1, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  SyntheticFeed feed(3, 1, 1e9);
+  SlotInput input;
+  for (std::size_t t = 0; t < 64; ++t) {
+    ASSERT_EQ(feed.poll(t, input), FeedStatus::kReady);
+    for (int count : input.workload) {
+      EXPECT_GE(count, 1);
+      EXPECT_LE(count, 2'000'000'001);
+    }
+  }
 }
 
 // --- DirectoryTailFeed ----------------------------------------------------

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <set>
+#include <thread>
+#include <vector>
+
+#include "sim/experiment.h"
 
 namespace cea::sim {
 namespace {
@@ -108,6 +113,41 @@ TEST(Environment, DeterministicForSeed) {
   EXPECT_EQ(a.prices().buy, b.prices().buy);
   for (std::size_t i = 0; i < a.num_edges(); ++i)
     EXPECT_DOUBLE_EQ(a.switching_cost(i), b.switching_cost(i));
+}
+
+TEST(Environment, ConcurrentFirstReadsShareOneTrace) {
+  // The trace is generated on the first workload() call: threads that
+  // make that call at once must all get the one generated object, holding
+  // the bits a single reader of another environment sees.
+  const auto env = Environment::make_parametric(small_config());
+  const data::WorkloadTraces expected =
+      Environment::make_parametric(small_config()).workload();
+  constexpr std::size_t kThreads = 8;
+  std::vector<const data::WorkloadTraces*> seen(kThreads, nullptr);
+  std::latch start(kThreads);
+  std::vector<std::thread> readers;
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    readers.emplace_back([&, k] {
+      start.arrive_and_wait();
+      seen[k] = &env.workload();
+    });
+  }
+  for (auto& reader : readers) reader.join();
+  for (const auto* trace : seen) EXPECT_EQ(trace, seen.front());
+  EXPECT_EQ(&env.workload(), seen.front());
+  EXPECT_EQ(*seen.front(), expected);
+
+  // The parallel batch runner reads the trace of one environment from
+  // several threads too, and must match the serial runner on another.
+  const auto serial = run_combo_averaged(
+      Environment::make_parametric(small_config()), ours_combo(), 4, 100);
+  const auto parallel = run_combo_averaged_parallel(
+      Environment::make_parametric(small_config()), ours_combo(), 4, 100, 4);
+  EXPECT_EQ(serial.inference_cost, parallel.inference_cost);
+  EXPECT_EQ(serial.emissions, parallel.emissions);
+  EXPECT_EQ(serial.buys, parallel.buys);
+  EXPECT_EQ(serial.workload, parallel.workload);
+  EXPECT_EQ(serial.selection_counts, parallel.selection_counts);
 }
 
 TEST(Environment, FromProfilesUsesGivenTables) {

@@ -61,6 +61,17 @@ TEST(ReplaceTraces, RejectsShortPrices) {
                std::invalid_argument);
 }
 
+TEST(ReplaceTraces, RejectsNegativeCount) {
+  auto env = Environment::make_parametric(small_config());
+  auto traces = make_traces(3, 20, 5);
+  traces[2][7] = -1;
+  EXPECT_THROW(env.replace_traces(traces, {}), std::invalid_argument);
+  // Zero is a legal count: FailureInjection's outage slots use it.
+  traces[2][7] = 0;
+  env.replace_traces(traces, {});
+  EXPECT_EQ(env.workload()[2][7], 0);
+}
+
 TEST(ReplaceTraces, LongerTracesAccepted) {
   // Real data may cover more slots than the configured horizon.
   auto env = Environment::make_parametric(small_config());
