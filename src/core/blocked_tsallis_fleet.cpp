@@ -159,20 +159,16 @@ bandit::FleetPolicyFactory BlockedTsallisFleetPolicy::discounted_factory(
 
 bool BlockedTsallisFleetPolicy::save_state(util::StateWriter& writer) const {
   writer.write_u64("btfleet.edges", num_edges_);
-  for (std::size_t i = 0; i < num_edges_; ++i)
-    writer.write_rng("btfleet.rng", rng_[i]);
+  writer.write_rngs("btfleet.rng", rng_);
   writer.write_doubles("btfleet.cumulative_losses", cumulative_losses_);
   writer.write_doubles("btfleet.probabilities", probabilities_);
   writer.write_doubles("btfleet.solver_warm", solver_warm_);
   writer.write_doubles("btfleet.block_loss", block_loss_);
-  auto widen = [](const auto& values) {
-    return std::vector<std::uint64_t>(values.begin(), values.end());
-  };
-  writer.write_u64s("btfleet.block_index", widen(block_index_));
-  writer.write_u64s("btfleet.current_arm", widen(current_arm_));
-  writer.write_u64s("btfleet.slots_left", widen(slots_left_));
-  writer.write_u64s("btfleet.block_open", widen(block_open_));
-  writer.write_u64s("btfleet.presolved", widen(presolved_));
+  writer.write_u32s("btfleet.block_index", block_index_);
+  writer.write_u32s("btfleet.current_arm", current_arm_);
+  writer.write_u32s("btfleet.slots_left", slots_left_);
+  writer.write_u8s("btfleet.block_open", block_open_);
+  writer.write_u8s("btfleet.presolved", presolved_);
   return true;
 }
 
@@ -181,33 +177,32 @@ bool BlockedTsallisFleetPolicy::load_state(util::StateReader& reader) {
     throw util::StateError("BlockedTsallisFleet: checkpointed edge count "
                            "does not match this fleet");
   }
-  for (std::size_t i = 0; i < num_edges_; ++i)
-    reader.read_rng("btfleet.rng", rng_[i]);
+  reader.read_rngs("btfleet.rng", rng_);
   const std::size_t slab = num_edges_ * num_models_;
   cumulative_losses_ = reader.read_doubles("btfleet.cumulative_losses", slab);
   probabilities_ = reader.read_doubles("btfleet.probabilities", slab);
   solver_warm_ = reader.read_doubles("btfleet.solver_warm", num_edges_);
   block_loss_ = reader.read_doubles("btfleet.block_loss", num_edges_);
-  // Each field is range-checked in its 64-bit checkpointed form, before it
-  // is narrowed: a forged 2^32 + 1 must not pass as arm 1.
-  auto narrow = [&](std::string_view key, auto& values, std::uint64_t limit) {
-    const auto wide = reader.read_u64s(key, values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (wide[i] >= limit) {
+  // Stored in their own widths, so only the arm and the flags have a range
+  // smaller than their type to check.
+  auto checked = [](std::string_view key, auto values, std::size_t limit) {
+    for (const auto value : values) {
+      if (value >= limit) {
         throw util::StateError("BlockedTsallisFleet: checkpointed " +
                                std::string(key) + " out of range");
       }
-      values[i] =
-          static_cast<typename std::decay_t<decltype(values)>::value_type>(
-              wide[i]);
     }
+    return values;
   };
-  constexpr std::uint64_t kU32End = std::uint64_t{1} << 32;
-  narrow("btfleet.block_index", block_index_, kU32End);
-  narrow("btfleet.current_arm", current_arm_, num_models_);
-  narrow("btfleet.slots_left", slots_left_, kU32End);
-  narrow("btfleet.block_open", block_open_, 2);  // flags are 0 or 1
-  narrow("btfleet.presolved", presolved_, 2);
+  block_index_ = reader.read_u32s("btfleet.block_index", num_edges_);
+  current_arm_ = checked("btfleet.current_arm",
+                         reader.read_u32s("btfleet.current_arm", num_edges_),
+                         num_models_);
+  slots_left_ = reader.read_u32s("btfleet.slots_left", num_edges_);
+  block_open_ = checked("btfleet.block_open",
+                        reader.read_u8s("btfleet.block_open", num_edges_), 2);
+  presolved_ = checked("btfleet.presolved",
+                       reader.read_u8s("btfleet.presolved", num_edges_), 2);
   return true;
 }
 

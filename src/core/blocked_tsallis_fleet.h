@@ -62,8 +62,8 @@ class BlockedTsallisFleetPolicy final : public bandit::FleetPolicy {
   bool supports_batch_solve() const noexcept override { return true; }
   std::string name() const override { return "BlockedTsallisINF"; }
 
-  /// Checkpointing: every SoA slab plus each edge's RNG, bit-exact. The
-  /// loader range-checks every cursor field and flag before narrowing it.
+  /// Checkpointing: every SoA slab plus each edge's RNG, bit-exact, each
+  /// array in its own width. The loader range-checks the arm and the flags.
   bool save_state(util::StateWriter& writer) const override;
   bool load_state(util::StateReader& reader) override;
 

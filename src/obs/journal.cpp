@@ -321,7 +321,7 @@ void JournalWriter::seal() {
   segment += fnv_hex(payload);
   segment += '\n';
   segment += payload;
-  util::write_file_atomic(segment_path(directory_, next_segment_), segment);
+  util::write_file_durable(segment_path(directory_, next_segment_), segment);
   ++next_segment_;
   ++segments_sealed_;
   records_sealed_ += buffered_.size();

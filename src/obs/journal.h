@@ -8,8 +8,8 @@
 // counters that certify how the slot was computed. Watchdog alerts
 // (obs/slo.h) ride the same log as their own record kind.
 //
-// Durability discipline (same as util/state_io): records are buffered in
-// memory and published as numbered immutable segment files via
+// Durability discipline (util::write_file_durable): records are buffered
+// in memory and published as numbered immutable segment files via
 // temp+fsync+rename+dir-fsync, each wrapped in a counted, FNV-1a-checksummed
 // envelope, and every record line carries its own FNV-1a checksum. A
 // SIGKILL at any instant therefore leaves a directory of checksum-clean

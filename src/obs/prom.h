@@ -4,9 +4,10 @@
 // registry (obs/telemetry.h), plus the handful of serving-layer samples
 // the scrape page needs that are not plain registry metrics (per-tenant
 // labeled gauges, histogram quantiles). The daemon renders this at
-// pool-quiescent slot boundaries and publishes it atomically
-// (util::write_file_atomic) to a status file and, optionally, over a
-// minimal TCP endpoint (serve/metrics_server.h).
+// pool-quiescent slot boundaries and publishes it atomically, without
+// fsync (util::write_file_atomic: the page is regenerated every slot), to
+// a status file and, optionally, over a minimal TCP endpoint
+// (serve/metrics_server.h).
 //
 // Rendering rules:
 //  * metric names are sanitized to [a-zA-Z_][a-zA-Z0-9_]* and prefixed

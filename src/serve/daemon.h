@@ -52,8 +52,8 @@ struct DaemonConfig {
   /// Seal a journal segment every N executed slots (also sealed at every
   /// checkpoint boundary and at shutdown). 0 behaves like 1.
   std::size_t journal_every = 1;
-  /// Prometheus text snapshot path (written atomically at slot
-  /// boundaries); empty disables the metrics file.
+  /// Prometheus text snapshot path (renamed into place at slot
+  /// boundaries, without fsync); empty disables the metrics file.
   std::string metrics_path;
   /// Publish metrics every N executed slots. 0 behaves like 1.
   std::size_t metrics_every = 1;

@@ -123,6 +123,7 @@ class DirectoryTailFeed final : public FeedSource {
 
   /// Producer-side helper: atomically publish slot t (write to a temp
   /// name, then rename) so a concurrent poll never sees a torn file.
+  /// Throws std::runtime_error, publishing nothing, if the write fails.
   static void publish_slot(const DirectoryTailFeed& feed, std::size_t t,
                            const SlotInput& input);
 

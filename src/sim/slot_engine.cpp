@@ -416,10 +416,8 @@ void SlotEngine::save_state(util::StateWriter& writer) const {
   for (const auto& row : result_.selection_counts)
     for (std::size_t c : row) scratch.push_back(c);
   writer.write_u64s("engine.selection_counts", scratch);
-  scratch.clear();
-  const std::uint32_t* previous_model = state_.previous_model();
-  scratch.assign(previous_model, previous_model + num_edges_);
-  writer.write_u64s("engine.previous_model", scratch);
+  writer.write_u32s("engine.previous_model",
+                    {state_.previous_model(), num_edges_});
   writer.write_string("engine.policy", fleet_->name());
   if (!fleet_->save_state(writer)) {
     throw util::StateError("checkpoint: fleet policy '" + fleet_->name() +
@@ -476,12 +474,12 @@ void SlotEngine::restore_state(util::StateReader& reader) {
   for (std::size_t i = 0; i < num_edges_; ++i)
     for (std::size_t n = 0; n < num_models_; ++n)
       result_.selection_counts[i][n] = counts[i * num_models_ + n];
-  const auto hosted = reader.read_u64s("engine.previous_model", num_edges_);
+  const auto hosted = reader.read_u32s("engine.previous_model", num_edges_);
   for (std::size_t i = 0; i < num_edges_; ++i) {
     if (hosted[i] != FleetState::kNoModel && hosted[i] >= num_models_) {
       throw util::StateError("checkpoint: hosted model out of range");
     }
-    state_.previous_model()[i] = static_cast<std::uint32_t>(hosted[i]);
+    state_.previous_model()[i] = hosted[i];
   }
   const std::string policy = reader.read_string("engine.policy");
   if (policy != fleet_->name()) {

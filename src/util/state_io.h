@@ -7,26 +7,36 @@
 // Payload model: an ordered sequence of tagged binary records,
 //   u8 key length | key bytes | u8 type tag | value
 // where the value is the raw little-endian bytes of the type (u64, i64,
-// f64, a 0/1 bool byte, or an RNG's four xoshiro words + Box-Muller cache
-// + 0/1 flag). Strings and vectors lead with a u64 element count. Doubles
-// are stored as their IEEE-754 bits, so every mantissa bit round-trips
-// and no locale is involved. Readers consume records strictly in writer
-// order and verify each key and tag, and check every length and count
-// against the bytes that remain before allocating anything, so a
-// structural mismatch (schema drift, corrupted record, wrong object)
-// fails immediately with the offending key in the message instead of
-// silently shearing fields. dump_state() renders a payload as text
-// without a schema (journal_query --dump-checkpoint).
+// f64, or a 0/1 bool byte). Strings and arrays lead with a u64 element
+// count: `str`, `f64[]`, `u64[]`, and the native-width `u32[]` and `u8[]`
+// that per-edge cursors and flags use. An `rng[]` element is one
+// generator's four xoshiro words, its Box-Muller cache and a 0/1 cache
+// flag (41 bytes), so a fleet's E generators are one record. Doubles are
+// stored as their IEEE-754 bits, so every mantissa bit round-trips and no
+// locale is involved. Readers consume records strictly in writer order
+// and verify each key and tag, and check every length and count against
+// the bytes that remain before allocating anything, so a structural
+// mismatch (schema drift, corrupted record, wrong object) fails
+// immediately with the offending key in the message instead of silently
+// shearing fields. dump_state() renders a payload as text without a
+// schema (journal_query --dump-checkpoint).
 //
 // File envelope: a single header line
 //   CEA-CHECKPOINT v<version> <payload-bytes> <checksum-hex>
 // followed by the payload. The byte count catches truncation, the
 // checksum (checkpoint_checksum) catches in-place corruption, and the
 // version gate refuses formats this build does not understand.
-// write_checkpoint_file() is crash-safe: temp file in the same directory,
-// fsync, atomic rename, directory fsync — a SIGKILL at any instant leaves
-// either the previous complete checkpoint or the new one, never a torn
-// file.
+//
+// Two publication contracts, both temp file in the same directory, then
+// an atomic rename over the target, so a reader never sees a torn file:
+// - durable (write_checkpoint_file, write_file_durable): fsync the temp
+//   file before the rename and the directory after it, so a crash or a
+//   power cut at any instant leaves the previous complete file or the new
+//   one. Checkpoints and journal segments are records; they use this.
+// - atomic only (write_file_atomic): no fsync. A killed process still
+//   leaves the previous file or the new one, but after a power cut the
+//   target may be either version or empty. The metrics page is rewritten
+//   every slot and only has to be whole when read; it uses this.
 
 #include <cstddef>
 #include <cstdint>
@@ -56,7 +66,11 @@ enum class StateTag : std::uint8_t {
   kString = 5,  ///< u64 byte count, then the bytes
   kF64s = 6,    ///< u64 element count, then the elements
   kU64s = 7,    ///< u64 element count, then the elements
-  kRng = 8,     ///< 4 u64 words, f64 cached normal, u8 cache flag
+  // 8 was v3's single-generator `rng`, retired by kRngs.
+  kU32s = 9,    ///< u64 element count, then 4 bytes per element
+  kU8s = 10,    ///< u64 element count, then 1 byte per element
+  kRngs = 11,   ///< u64 element count, then per element: 4 u64 words,
+                ///< f64 cached normal, u8 cache flag (41 bytes)
 };
 
 class StateWriter {
@@ -75,8 +89,12 @@ class StateWriter {
   void write_string(std::string_view key, std::string_view value);
   void write_doubles(std::string_view key, std::span<const double> values);
   void write_u64s(std::string_view key, std::span<const std::uint64_t> values);
-  /// Full generator state (xoshiro words + Box-Muller cache) — restoring
-  /// reproduces the exact continuation of the stream.
+  void write_u32s(std::string_view key, std::span<const std::uint32_t> values);
+  void write_u8s(std::string_view key, std::span<const std::uint8_t> values);
+  /// Full generator states (xoshiro words + Box-Muller cache) — restoring
+  /// reproduces the exact continuation of every stream.
+  void write_rngs(std::string_view key, std::span<const Rng> rngs);
+  /// A one-element write_rngs.
   void write_rng(std::string_view key, const Rng& rng);
 
   const std::string& payload() const noexcept { return payload_; }
@@ -114,15 +132,23 @@ class StateReader {
   std::string read_string(std::string_view key);
   std::vector<double> read_doubles(std::string_view key);
   std::vector<std::uint64_t> read_u64s(std::string_view key);
-  void read_rng(std::string_view key, Rng& rng);
 
-  /// Like read_doubles/read_u64s but requires exactly `expected` elements.
+  /// Array reads that require exactly `expected` elements.
   std::vector<double> read_doubles(std::string_view key, std::size_t expected);
   std::vector<std::uint64_t> read_u64s(std::string_view key,
                                        std::size_t expected);
+  std::vector<std::uint32_t> read_u32s(std::string_view key,
+                                       std::size_t expected);
+  std::vector<std::uint8_t> read_u8s(std::string_view key,
+                                     std::size_t expected);
+  /// Restore an `rng[]` record of exactly `rngs.size()` generators.
+  void read_rngs(std::string_view key, std::span<Rng> rngs);
+  /// A one-element read_rngs.
+  void read_rng(std::string_view key, Rng& rng);
 
   /// The next record whatever its key and type, structurally validated
-  /// (lengths and counts within the payload, known tag, 0/1 flag bytes).
+  /// (lengths and counts within the payload, known tag, 0/1 flag bytes in
+  /// a bool and in every rng[] element).
   StateRecord next_record() { return take({}); }
 
   bool at_end() const noexcept { return remaining_.empty(); }
@@ -131,9 +157,14 @@ class StateReader {
   void expect_end() const;
 
  private:
+  static constexpr std::size_t kAnyCount = static_cast<std::size_t>(-1);
+
   /// Consume the next record; a non-empty `key` must match it.
   StateRecord take(std::string_view key);
-  StateRecord take(std::string_view key, StateTag tag);
+  /// ... and its type must be `tag` and, unless kAnyCount, its element
+  /// count `expected`.
+  StateRecord take(std::string_view key, StateTag tag,
+                   std::size_t expected = kAnyCount);
   template <class T>
   std::vector<T> read_array(std::string_view key, StateTag tag,
                             std::size_t expected);
@@ -153,16 +184,22 @@ std::string dump_state(std::string_view payload);
 /// record checksum and perf_serve's journal digest).
 std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 
-/// The checkpoint envelope's checksum: FNV-1a's offset basis and prime,
-/// taken 8 bytes per step — xor the little-endian word, multiply by the
-/// prime, fold the high half down (h ^= h >> 32) — then the tail bytes one
-/// at a time as in fnv1a64. Every step is a bijection of the hash state,
-/// so any change confined to one word or tail byte always changes the sum.
+/// The checkpoint envelope's checksum, over 8 independent lanes. The step
+/// is mix(h, w): h ^= w; h *= FNV prime; h ^= h >> 32. Each lane starts at
+/// FNV's offset basis. Word j (little-endian u64) of every 64-byte block
+/// is mixed into lane j; the 0-7 whole words left over go to lanes 0, 1,
+/// ... in order. The lanes are then mixed, in lane order, into a fresh
+/// offset basis, and the size % 8 tail bytes follow one at a time as in
+/// fnv1a64 (h ^= byte; h *= prime). Every step is a bijection of the state
+/// and of the absorbed value, so a change confined to one word or tail
+/// byte always changes the sum; the lanes only break the one serial
+/// multiply chain into 8 that run side by side.
 std::uint64_t checkpoint_checksum(std::string_view bytes) noexcept;
 
-/// v3: each engine section carries engine.horizon and
-/// engine.env_fingerprint after its shape (DESIGN §11).
-inline constexpr int kCheckpointVersion = 3;
+/// v4: the fleet's per-edge RNGs are one rng[] record, its cursors and
+/// the engine's hosted models u32[], its flags u8[]; and the checksum runs
+/// 8 lanes (DESIGN §11).
+inline constexpr int kCheckpointVersion = 4;
 
 /// Serialize `payload` into the envelope format (header + payload bytes).
 std::string encode_checkpoint(std::string_view payload);
@@ -172,16 +209,21 @@ std::string encode_checkpoint(std::string_view payload);
 /// moved-in file is not copied. Throws StateError naming the failure.
 std::string decode_checkpoint(std::string file_bytes);
 
-/// Crash-safe checkpoint write: envelope header and payload into
+/// Durable checkpoint write: envelope header and payload into
 /// `path + ".tmp"`, fsync, rename over `path`, fsync the directory. Throws
 /// StateError on any I/O failure.
 void write_checkpoint_file(const std::string& path, std::string_view payload);
 
-/// Crash-safe raw file publication — the same temp+fsync+rename+dir-fsync
-/// discipline write_checkpoint_file uses, without the checkpoint envelope.
-/// A reader never observes a torn `path`: it sees the previous complete
-/// file or the new one. Shared by the decision-journal segment writer and
-/// the metrics status-file publisher (obs/journal.h, serve/daemon.h).
+/// Durable raw file publication: the temp + fsync + rename + directory
+/// fsync discipline of write_checkpoint_file, without the envelope. The
+/// decision journal's segment writer uses it (obs/journal.h). Throws
+/// StateError on any I/O failure.
+void write_file_durable(const std::string& path, std::string_view bytes);
+
+/// Atomic-only publication: temp file, then rename over `path`, with no
+/// fsync. Readers see the previous complete file or the new one, but the
+/// new one may not survive a power cut. For files rewritten every slot
+/// whose loss costs nothing, such as the metrics page (serve/daemon.h).
 /// Throws StateError on any I/O failure.
 void write_file_atomic(const std::string& path, std::string_view bytes);
 

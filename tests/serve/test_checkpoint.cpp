@@ -141,6 +141,29 @@ TEST(CheckpointRoundTrip, EverySlotBoundaryRestoresBitIdentically) {
   }
 }
 
+TEST(Checkpoint, PerEdgeBytesFollowTheRecordLayout) {
+  // Per edge and model: the Chat and p slabs (f64) and the selection
+  // counts (u64), 24 bytes. Per edge: one rng[] element (41), the warm
+  // root and block loss (f64, 16), the block index, arm and slots left
+  // (u32, 12), the block-open and presolved flags (u8, 2) and the hosted
+  // model (u32, 4), 75 bytes. Everything else is the same for any E.
+  constexpr std::size_t kEdges = 5;
+  constexpr std::size_t kSlots = 7;
+  std::vector<std::size_t> sizes;
+  std::size_t models = 0;
+  for (const std::size_t edges : {kEdges, 2 * kEdges}) {
+    const std::vector<TenantSpec> specs = {
+        make_spec("solo", 21, 5, 2 * kSlots, edges)};
+    ServeController controller(specs, sim::SimOptions{});
+    SyntheticFeed feed(edges, 77);
+    drive(controller, feed, kSlots);
+    sizes.push_back(controller.checkpoint_payload().size());
+    models = controller.tenant_engine(0).num_models();
+  }
+  ASSERT_GT(models, 0u);
+  EXPECT_EQ(sizes[1] - sizes[0], kEdges * (24 * models + 75));
+}
+
 TEST(CheckpointRoundTrip, FixedPolicyTenantRestoresBitIdentically) {
   // The fixed policy is stateless: its checkpoint section is empty, and a
   // tenant restored mid-run continues exactly like the uninterrupted one.

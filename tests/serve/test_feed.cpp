@@ -287,5 +287,29 @@ TEST_F(DirectoryTailTest, PartiallyPublishedTmpFileStaysPending) {
   std::remove((dir_ + "/slot_0.csv.tmp").c_str());
 }
 
+TEST_F(DirectoryTailTest, FailedWriteIsNotPublished) {
+  // A producer whose disk is full must throw and publish nothing: a count
+  // line cut mid-number would parse as a valid, wrong count. The temp
+  // file is a symlink to /dev/full, where every write fails with ENOSPC.
+  struct stat device {};
+  if (::stat("/dev/full", &device) != 0) {
+    GTEST_SKIP() << "/dev/full is not available on this host";
+  }
+  DirectoryTailFeed feed(dir_, 2);
+  const std::string tmp = feed.slot_path(0) + ".tmp";
+  ::unlink(tmp.c_str());  // left by an interrupted earlier run
+  ASSERT_EQ(::symlink("/dev/full", tmp.c_str()), 0);
+  SlotInput input;
+  input.quote = {8.0, 7.0};
+  input.workload = {123456789, 987654321};
+  EXPECT_THROW(DirectoryTailFeed::publish_slot(feed, 0, input),
+               std::runtime_error);
+  struct stat left {};
+  EXPECT_NE(::lstat(feed.slot_path(0).c_str(), &left), 0)
+      << "a failed write was published";
+  EXPECT_NE(::lstat(tmp.c_str(), &left), 0) << "the temp file was left";
+  ::unlink(tmp.c_str());
+}
+
 }  // namespace
 }  // namespace cea::serve

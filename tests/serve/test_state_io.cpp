@@ -113,9 +113,19 @@ TEST(StateIo, WriterReaderRoundTripAllTypes) {
   writer.write_doubles("ds", doubles);
   const std::vector<std::uint64_t> u64s = {0, 1, 99};
   writer.write_u64s("us", u64s);
+  const std::vector<std::uint32_t> u32s = {0, 7, 0xFFFFFFFFu};
+  writer.write_u32s("u32s", u32s);
+  const std::vector<std::uint8_t> u8s = {0, 1, 255};
+  writer.write_u8s("u8s", u8s);
   Rng rng(123);
   rng.normal();  // populate the Box-Muller cache so it must round-trip too
   writer.write_rng("r", rng);
+  // Three generators, the middle one without a cached normal.
+  std::vector<Rng> rngs = {Rng(1), Rng(2), Rng(3)};
+  rngs[0].normal();
+  rngs[2].normal();
+  writer.write_rngs("rs", rngs);
+  writer.write_rngs("none", std::vector<Rng>{});
 
   StateReader reader(writer.payload());
   EXPECT_EQ(reader.read_u64("u"), 42u);
@@ -126,12 +136,22 @@ TEST(StateIo, WriterReaderRoundTripAllTypes) {
   EXPECT_EQ(reader.read_string("s"), "hello world");
   EXPECT_EQ(reader.read_doubles("ds", doubles.size()), doubles);
   EXPECT_EQ(reader.read_u64s("us", u64s.size()), u64s);
+  EXPECT_EQ(reader.read_u32s("u32s", u32s.size()), u32s);
+  EXPECT_EQ(reader.read_u8s("u8s", u8s.size()), u8s);
   Rng restored(0);
   reader.read_rng("r", restored);
+  std::vector<Rng> restored_rngs(3, Rng(0));
+  reader.read_rngs("rs", restored_rngs);
+  reader.read_rngs("none", std::span<Rng>{});
   reader.expect_end();
   for (int k = 0; k < 32; ++k) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.normal()),
               std::bit_cast<std::uint64_t>(restored.normal()));
+    for (std::size_t e = 0; e < rngs.size(); ++e) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(rngs[e].normal()),
+                std::bit_cast<std::uint64_t>(restored_rngs[e].normal()))
+          << "generator " << e;
+    }
   }
 }
 
@@ -207,15 +227,28 @@ TEST(StateIo, DumpStateRendersEveryRecordType) {
   writer.write_string("s", "a b\\");
   writer.write_doubles("ds", std::vector<double>{1.5, -0.0});
   writer.write_u64s("us", std::vector<std::uint64_t>{});
+  writer.write_u32s("u32s", std::vector<std::uint32_t>{5, 4294967295u});
+  writer.write_u8s("u8s", std::vector<std::uint8_t>{0, 1, 200});
   const Rng rng(3);
   writer.write_rng("r", rng);
-  const Rng::State state = rng.state();
-  std::string expected = "u u64 1 42\ni i64 1 -7\nb bool 1 1\nd f64 1 " +
-                         format_double_exact(0.5) + "\ns str 4 a\\x20b\\x5c\n" +
-                         "ds f64[] 2 " + format_double_exact(1.5) + " " +
-                         format_double_exact(-0.0) + "\nus u64[] 0\nr rng 1";
-  for (const std::uint64_t word : state.s) expected += " " + format_u64(word);
-  expected += " " + format_double_exact(state.cached_normal) + " 0\n";
+  Rng cached(4);
+  cached.normal();
+  writer.write_rngs("rs", std::vector<Rng>{cached, rng});
+  // One generator: its four words, the cached normal and the cache flag.
+  auto text_of = [](const Rng& generator) {
+    const Rng::State state = generator.state();
+    std::string text;
+    for (const std::uint64_t word : state.s) text += " " + format_u64(word);
+    return text + " " + format_double_exact(state.cached_normal) +
+           (state.has_cached_normal ? " 1" : " 0");
+  };
+  const std::string expected =
+      "u u64 1 42\ni i64 1 -7\nb bool 1 1\nd f64 1 " +
+      format_double_exact(0.5) + "\ns str 4 a\\x20b\\x5c\n" + "ds f64[] 2 " +
+      format_double_exact(1.5) + " " + format_double_exact(-0.0) +
+      "\nus u64[] 0\nu32s u32[] 2 5 4294967295\nu8s u8[] 3 0 1 200\n" +
+      "r rng[] 1" + text_of(rng) + "\nrs rng[] 2" + text_of(cached) +
+      text_of(rng) + "\n";
   EXPECT_EQ(dump_state(writer.payload()), expected);
   EXPECT_EQ(dump_state(""), "");
 }
@@ -297,7 +330,8 @@ TEST(StateIoHostile, EveryRecordHeaderByteFlipped) {
   }
   for (const StateTag tag :
        {StateTag::kU64, StateTag::kBool, StateTag::kF64, StateTag::kString,
-        StateTag::kF64s, StateTag::kU64s, StateTag::kRng}) {
+        StateTag::kF64s, StateTag::kU64s, StateTag::kU32s, StateTag::kU8s,
+        StateTag::kRngs}) {
     EXPECT_TRUE(tags.count(tag)) << "payload lacks tag " << int(tag);
   }
   serve::ServeController controller(hostile_specs(), sim::SimOptions{});
@@ -326,6 +360,13 @@ TEST(StateIoHostile, ForgedCountThrowsBeforeAllocating) {
   // bound the count by division, and before sizing a container: sizing
   // first would throw std::length_error or std::bad_alloc, not StateError.
   constexpr std::uint64_t kForged = std::uint64_t{1} << 61;
+  // The same for the narrower elements: 2^62 u32s wrap to 0 bytes, and
+  // 41^-1 mod 2^64 generators of 41 bytes to 1 byte (Newton's iteration
+  // for the inverse; 41 * 41 = 1 mod 8 seeds it with 3 correct bits).
+  constexpr std::uint64_t kForgedU32 = std::uint64_t{1} << 62;
+  std::uint64_t forged_rngs = 41;
+  for (int i = 0; i < 5; ++i) forged_rngs *= 2 - 41 * forged_rngs;
+  ASSERT_EQ(forged_rngs * 41, 1u);
   StateWriter doubles;
   doubles.write_doubles("v", std::vector<double>{1.0, 2.0});
   StateWriter u64s;
@@ -341,16 +382,39 @@ TEST(StateIoHostile, ForgedCountThrowsBeforeAllocating) {
       StateReader(with_count(text.payload(), kForged)).read_string("v"),
       StateError);
   EXPECT_THROW(dump_state(forged), StateError);
+
+  StateWriter u32s;
+  u32s.write_u32s("v", std::vector<std::uint32_t>{1, 2});
+  StateWriter u8s;
+  u8s.write_u8s("v", std::vector<std::uint8_t>{1, 2});
+  StateWriter rngs;
+  rngs.write_rngs("v", std::vector<Rng>{Rng(1), Rng(2)});
+  const std::string forged_u32s = with_count(u32s.payload(), kForgedU32);
+  EXPECT_THROW(StateReader(forged_u32s).read_u32s("v", 2), StateError);
+  EXPECT_THROW(StateReader(forged_u32s).read_u32s("v", kForgedU32),
+               StateError);
+  EXPECT_THROW(dump_state(forged_u32s), StateError);
+  const std::string forged_u8s = with_count(u8s.payload(), kForged);
+  EXPECT_THROW(StateReader(forged_u8s).read_u8s("v", 2), StateError);
+  EXPECT_THROW(StateReader(forged_u8s).read_u8s("v", kForged), StateError);
+  EXPECT_THROW(dump_state(forged_u8s), StateError);
+  const std::string forged_rng_count = with_count(rngs.payload(), forged_rngs);
+  std::vector<Rng> two(2, Rng(0));
+  EXPECT_THROW(StateReader(forged_rng_count).read_rngs("v", two), StateError);
+  EXPECT_THROW(StateReader(forged_rng_count).next_record(), StateError);
+  EXPECT_THROW(dump_state(forged_rng_count), StateError);
 }
 
-// Overwrite element `index` of the first u64 or u64[] record named `key`,
-// leaving every other byte alone.
-std::string with_u64(std::string payload, std::string_view key,
-                     std::size_t index, std::uint64_t value) {
+// Overwrite element `index` of the first record named `key`, a T or an
+// array of T, leaving every other byte alone.
+template <class T>
+std::string with_value(std::string payload, std::string_view key,
+                       std::size_t index, T value) {
   StateReader reader(payload);
   while (!reader.at_end()) {
     const StateRecord record = reader.next_record();
     if (record.key != key) continue;
+    EXPECT_EQ(record.value.size(), record.count * sizeof value) << key;
     const std::size_t at =
         static_cast<std::size_t>(record.value.data() - payload.data()) +
         index * sizeof value;
@@ -361,22 +425,29 @@ std::string with_u64(std::string payload, std::string_view key,
   return payload;
 }
 
+std::string with_u64(std::string payload, std::string_view key,
+                     std::size_t index, std::uint64_t value) {
+  return with_value(std::move(payload), key, index, value);
+}
+
 TEST(StateIoHostile, FleetCursorFieldsAreRangeCheckedBeforeNarrowing) {
-  // The SoA fleet stores these fields in 32- and 8-bit arrays. Each forged
-  // value below would narrow to an in-range one (2^32 + 1 to arm 1, 256 to
-  // a closed block), so only a check on the checkpointed value rejects it.
-  constexpr std::uint64_t k2to32 = std::uint64_t{1} << 32;
-  const std::vector<std::pair<std::string, std::uint64_t>> forgeries = {
-      {"btfleet.current_arm", k2to32 + 1}, {"btfleet.block_index", k2to32 + 7},
-      {"btfleet.slots_left", k2to32 + 3},  {"btfleet.block_open", 256},
-      {"btfleet.presolved", 2},
-  };
+  // The fleet's cursors and the engine's hosted models are stored in their
+  // own widths, so the first value past each field's range is written as
+  // it is: arm N, a flag of 2, hosted model N.
   const std::string payload = hostile_payload();
   serve::ServeController controller(hostile_specs(), sim::SimOptions{});
-  for (const auto& [key, value] : forgeries) {
-    EXPECT_THROW(controller.restore_payload(with_u64(payload, key, 0, value)),
-                 StateError)
-        << key << " = " << value;
+  const auto models =
+      static_cast<std::uint32_t>(controller.tenant_engine(0).num_models());
+  const std::vector<std::string> forged = {
+      with_value<std::uint32_t>(payload, "btfleet.current_arm", 1, models),
+      with_value<std::uint8_t>(payload, "btfleet.block_open", 2, 2),
+      with_value<std::uint8_t>(payload, "btfleet.presolved", 0, 2),
+      with_value<std::uint32_t>(payload, "engine.previous_model", 2, models),
+  };
+  for (std::size_t i = 0; i < forged.size(); ++i) {
+    EXPECT_NE(forged[i], payload);
+    EXPECT_THROW(controller.restore_payload(forged[i]), StateError)
+        << "forgery " << i;
   }
   controller.restore_payload(payload);
   EXPECT_EQ(controller.checkpoint_payload(), payload);
@@ -437,24 +508,85 @@ TEST(StateIoHostile, UnknownTagAndOutOfRangeFlagsThrow) {
   EXPECT_THROW(dump_state(payload), StateError);
 }
 
+TEST(StateIoHostile, EveryRngArrayFlagByteIsChecked) {
+  // An rng[] record's flag bytes sit every 41 bytes; the first, a middle
+  // and the last element are each checked, by every reader.
+  std::vector<Rng> rngs = {Rng(1), Rng(2), Rng(3), Rng(4), Rng(5)};
+  rngs[2].normal();
+  StateWriter writer;
+  writer.write_rngs("rs", rngs);
+  const std::string payload = writer.payload();
+  const std::size_t values = payload.size() - rngs.size() * 41;
+  for (const std::size_t element : {0, 2, 4}) {
+    for (const char flag : {'\x02', '\xFF'}) {
+      std::string damaged = payload;
+      damaged[values + element * 41 + 40] = flag;
+      std::vector<Rng> restored(rngs.size(), Rng(0));
+      EXPECT_THROW(StateReader(damaged).read_rngs("rs", restored), StateError)
+          << "element " << element;
+      EXPECT_THROW(StateReader(damaged).next_record(), StateError);
+      EXPECT_THROW(dump_state(damaged), StateError);
+    }
+  }
+  std::vector<Rng> restored(rngs.size(), Rng(0));
+  StateReader(payload).read_rngs("rs", restored);
+  EXPECT_EQ(restored[2].state().has_cached_normal, true);
+  EXPECT_EQ(restored[4].state().has_cached_normal, false);
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint envelope
 // ---------------------------------------------------------------------------
 
+// The lane definition in state_io.h restated word by word: whole word i
+// (assembled little-endian from its bytes) goes to lane i % 8, which is
+// the same as word j of each 64-byte block to lane j and the leftover
+// words to lanes 0, 1, ... in order.
+std::uint64_t reference_checksum(std::string_view bytes) {
+  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  auto mix = [](std::uint64_t hash, std::uint64_t word) {
+    hash = (hash ^ word) * kPrime;
+    return hash ^ (hash >> 32);
+  };
+  std::uint64_t lanes[8];
+  std::fill(std::begin(lanes), std::end(lanes), kBasis);
+  const std::size_t words = bytes.size() / 8;
+  for (std::size_t i = 0; i < words; ++i) {
+    std::uint64_t word = 0;
+    for (std::size_t b = 8; b-- > 0;) {
+      word = (word << 8) | static_cast<unsigned char>(bytes[8 * i + b]);
+    }
+    lanes[i % 8] = mix(lanes[i % 8], word);
+  }
+  std::uint64_t hash = kBasis;
+  for (const std::uint64_t lane : lanes) hash = mix(hash, lane);
+  for (std::size_t i = 8 * words; i < bytes.size(); ++i) {
+    hash = (hash ^ static_cast<unsigned char>(bytes[i])) * kPrime;
+  }
+  return hash;
+}
+
 TEST(Checkpoint, ChecksumKnownAnswers) {
-  // Values from an independent implementation of the definition in
-  // state_io.h. Up to 7 bytes it is FNV-1a; "a" is FNV-1a's own test vector.
-  EXPECT_EQ(checkpoint_checksum(""), 0xcbf29ce484222325ULL);
-  EXPECT_EQ(checkpoint_checksum("a"), 0xaf63dc4c8601ec8cULL);
-  EXPECT_EQ(checkpoint_checksum("abcdefgh"), 0x3919eeb037f8083cULL);
-  EXPECT_EQ(checkpoint_checksum("abcdefghi"), 0xff18ea6f1a76286fULL);
+  EXPECT_EQ(checkpoint_checksum(""), 0x9f0fc129cfe74302ULL);
+  EXPECT_EQ(checkpoint_checksum("a"), 0x2f089d0c45f78139ULL);
+  EXPECT_EQ(checkpoint_checksum("abcdefgh"), 0x101898ef90e3f6e9ULL);
+  EXPECT_EQ(checkpoint_checksum("abcdefghi"), 0x3dc25f13335bdb80ULL);
   std::string ramp;
   for (int repeat = 0; repeat < 4; ++repeat) {
     for (int byte = 0; byte < 256; ++byte) {
       ramp.push_back(static_cast<char>(byte));
     }
   }
-  EXPECT_EQ(checkpoint_checksum(ramp), 0x2db58ae3ba083421ULL);
+  EXPECT_EQ(checkpoint_checksum(ramp), 0xd1698d41c6a7126aULL);
+  // Every length 0-200 covers each mix of whole blocks, leftover words
+  // (0-7 of them) and tail bytes (0-7) against the reference.
+  for (std::size_t size = 0; size <= 200; ++size) {
+    const std::string_view prefix(ramp.data() + 37, size);
+    EXPECT_EQ(checkpoint_checksum(prefix), reference_checksum(prefix))
+        << size << " bytes";
+  }
+  EXPECT_EQ(reference_checksum(ramp), 0xd1698d41c6a7126aULL);
   // The byte-serial FNV-1a of the journal is a different function.
   EXPECT_EQ(fnv1a64("abcdefgh"), 0x25da8c1836a8d66dULL);
 }
@@ -505,6 +637,24 @@ TEST(Checkpoint, RejectsVersionTwoCheckpoint) {
     FAIL() << "a v2 checkpoint was accepted";
   } catch (const StateError& e) {
     EXPECT_NE(std::string(e.what()).find("unsupported version v2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Checkpoint, RejectsVersionThreeCheckpoint) {
+  // A v3 envelope is intact, but its checksum is the one-lane v3 sum and
+  // its fleet records are v3's (one rng record per edge, u64[] cursors):
+  // refused by version.
+  std::string file = encode_checkpoint("k u64 1\n");
+  const auto pos = file.find(" v" + std::to_string(kCheckpointVersion) + " ");
+  ASSERT_NE(pos, std::string::npos);
+  file.replace(pos, 3, " v3");
+  try {
+    decode_checkpoint(file);
+    FAIL() << "a v3 checkpoint was accepted";
+  } catch (const StateError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version v3"),
               std::string::npos)
         << e.what();
   }
