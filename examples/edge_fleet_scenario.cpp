@@ -5,7 +5,9 @@
 // Algorithm 2 and returns its trade decision; finish_slot takes that trade
 // and one arrival count per edge, has every edge's Algorithm 1 policy pick
 // a model, streams the slot's samples through it, feeds the losses back,
-// and settles the allowance ledger and the trader.
+// and settles the allowance ledger and the trader. The engine keeps
+// decision state only; a sim::SeriesRecorder attached as its observer
+// records the per-slot series this report reads.
 //
 // A fleet of heterogeneous edges serves diurnal workloads; the controller
 // learns the best model per edge while trading allowances online.
@@ -20,6 +22,7 @@
 #include "core/carbon_trader.h"
 #include "core/regret.h"
 #include "sim/environment.h"
+#include "sim/series_recorder.h"
 #include "sim/simulator.h"
 #include "sim/slot_engine.h"
 #include "util/table.h"
@@ -45,6 +48,8 @@ int main() {
   const core::OnlineCarbonTrader& carbon_trader = *trader;
   sim::SlotEngine engine(env, sim::SimOptions{}, std::move(fleet),
                          std::move(trader), kRunSeed, "Ours");
+  sim::SeriesRecorder recorder(1, env.horizon());
+  engine.set_observer(&recorder, 0);
 
   std::vector<int> arrivals(env.num_edges());
   for (std::size_t t = 0; t < env.horizon(); ++t) {
@@ -60,7 +65,7 @@ int main() {
       arrivals[i] = env.workload()[i][t];
     engine.finish_slot(quote, trade, arrivals);
   }
-  const sim::RunResult& result = engine.result();
+  const sim::RunResult& result = recorder.result(0);
 
   std::printf("Fleet of %zu edges over %zu slots\n", env.num_edges(),
               env.horizon());

@@ -6,8 +6,11 @@
 //   serve_daemon --tenants 2 --edges 3 --slots 160 --checkpoint ck.bin
 //                --trace-out full.csv
 //   # run the first 80 slots, "crash", restore, finish, compare traces
-//   serve_daemon ... --stop-after 80 --checkpoint ck.bin
-//   serve_daemon ... --restore --checkpoint ck.bin --trace-out resumed.csv
+//   # (--trace-out covers only a process's own slots; the journal covers
+//   # both lives)
+//   serve_daemon ... --stop-after 80 --checkpoint ck.bin --journal jdir
+//   serve_daemon ... --restore --checkpoint ck.bin --journal jdir
+//   journal_query jdir --format trace --out resumed.csv
 //   cmp full.csv resumed.csv
 //
 // Observability (DESIGN.md §13):
@@ -29,6 +32,7 @@
 #include "serve/daemon.h"
 #include "serve/feed.h"
 #include "sim/experiment.h"
+#include "sim/series_recorder.h"
 #include "util/csv.h"
 #include "util/thread_pool.h"
 
@@ -150,12 +154,14 @@ sim::AlgorithmCombo find_combo(const std::string& name) {
   throw std::runtime_error("unknown combo '" + name + "'");
 }
 
-/// Full hex-exact per-tenant trace — byte-comparable across runs (the
-/// kill/restore gate does `cmp` on two of these).
-void write_trace(serve::ServeController& controller, const std::string& path) {
+/// Hex-exact per-tenant trace of the slots this process executed —
+/// byte-comparable across runs, and with journal_query --format trace
+/// (the kill/restore and observability gates `cmp` them).
+void write_trace(serve::ServeController& controller,
+                 const sim::SeriesRecorder& series, const std::string& path) {
   CsvWriter writer(path);
   for (std::size_t i = 0; i < controller.num_tenants(); ++i) {
-    const auto& result = controller.tenant_engine(i).result();
+    const sim::RunResult& result = series.result(i);
     const std::string prefix = controller.tenant_name(i) + ".";
     writer.write_row_exact(prefix + "inference_cost", result.inference_cost);
     writer.write_row_exact(prefix + "switching_cost", result.switching_cost);
@@ -165,10 +171,11 @@ void write_trace(serve::ServeController& controller, const std::string& path) {
     writer.write_row_exact(prefix + "sells", result.sells);
     writer.write_row_exact(prefix + "accuracy", result.accuracy);
     writer.write_row_exact(prefix + "workload", result.workload);
+    const sim::SlotEngine& engine = controller.tenant_engine(i);
     writer.write_row_exact(
         prefix + "scalars",
-        {static_cast<double>(result.total_switches),
-         controller.tenant_engine(i).allowance_balance()});
+        {static_cast<double>(engine.total_switches()),
+         engine.allowance_balance()});
   }
 }
 
@@ -245,7 +252,9 @@ int main(int argc, char** argv) {
         static_cast<std::int64_t>(args.slo_feed_stall_ms);
     config.slo.slot_deadline_ms =
         static_cast<std::int64_t>(args.slo_deadline_ms);
-    serve::ServeDaemon daemon(controller, *feed, config);
+    sim::SeriesRecorder series(controller.num_tenants());
+    serve::ServeDaemon daemon(controller, *feed, config,
+                              args.trace_out.empty() ? nullptr : &series);
     if (daemon.metrics_port() >= 0) {
       // Flush so a scraper that parses our stdout for the ephemeral port
       // sees the line before the (long-running) run loop starts.
@@ -265,16 +274,14 @@ int main(int argc, char** argv) {
                 restored ? ", restored from checkpoint" : "",
                 report.feed_ended ? ", feed ended" : "");
     for (std::size_t i = 0; i < controller.num_tenants(); ++i) {
-      const auto& result = controller.tenant_engine(i).result();
-      std::printf("  %s: settled cost %.4f, emissions %.4f, "
-                  "balance %.4f, switches %zu\n",
-                  controller.tenant_name(i).c_str(),
-                  result.settled_total_cost(), result.total_emissions(),
-                  controller.tenant_engine(i).allowance_balance(),
-                  result.total_switches);
+      const sim::SlotEngine& engine = controller.tenant_engine(i);
+      std::printf("  %s: emissions %.4f, balance %.4f, switches %llu\n",
+                  controller.tenant_name(i).c_str(), engine.emission_total(),
+                  engine.allowance_balance(),
+                  static_cast<unsigned long long>(engine.total_switches()));
     }
     if (!args.trace_out.empty()) {
-      write_trace(controller, args.trace_out);
+      write_trace(controller, series, args.trace_out);
       std::printf("  trace written to %s\n", args.trace_out.c_str());
     }
     if (report.journal_records > 0) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace cea::obs {
 
@@ -39,8 +40,8 @@ void SloWatchdog::observe_slot(std::size_t tenant,
   // Rolling emission window: overwrite the oldest sample, then sum the
   // ring oldest-first. The sum is a function of the window's contents
   // alone (not of every emission ever observed, as an add/subtract
-  // running sum would be), so a restore rebuilds it from the last
-  // `window` emissions.
+  // running sum would be), so the saved window (save_state) is all a
+  // restore needs.
   const std::size_t width = state.window.size();
   state.window[state.head] = observed.emission;
   state.head = (state.head + 1) % width;
@@ -98,9 +99,47 @@ void SloWatchdog::observe_slot_wall(std::uint64_t slot, std::int64_t wall_ms) {
   }
 }
 
-void SloWatchdog::absorb_replay() {
-  pending_.clear();
-  counts_.fill(0);
+void SloWatchdog::save_state(util::StateWriter& writer) const {
+  writer.write_u64("slo.window", config_.window);
+  writer.write_u64("slo.tenants", tenants_.size());
+  std::vector<double> newest;
+  for (const TenantState& state : tenants_) {
+    const std::size_t width = state.window.size();
+    newest.clear();
+    for (std::size_t k = width - state.filled; k < width; ++k) {
+      newest.push_back(state.window[(state.head + k) % width]);
+    }
+    writer.write_doubles("slo.emissions", newest);
+    writer.write_bool("slo.in_breach", state.in_breach);
+    writer.write_bool("slo.insolvent", state.insolvent);
+  }
+}
+
+void SloWatchdog::load_state(util::StateReader& reader) {
+  const std::uint64_t saved_window = reader.read_u64("slo.window");
+  if (reader.read_u64("slo.tenants") != tenants_.size()) {
+    throw util::StateError(
+        "checkpoint: slo.tenants does not match this watchdog");
+  }
+  std::vector<TenantState> loaded(tenants_.size());
+  for (TenantState& state : loaded) {
+    const std::vector<double> newest = reader.read_doubles("slo.emissions");
+    if (newest.size() > saved_window) {
+      throw util::StateError(
+          "checkpoint: slo.emissions holds more samples than slo.window");
+    }
+    // The layout observe_slot leaves after `filled` samples: oldest at 0.
+    const std::size_t width = config_.window;
+    state.filled = std::min(newest.size(), width);
+    state.head = state.filled % width;
+    const auto oldest_kept =
+        newest.end() - static_cast<std::ptrdiff_t>(state.filled);
+    state.window.assign(oldest_kept, newest.end());
+    state.window.resize(width, 0.0);
+    state.in_breach = reader.read_bool("slo.in_breach");
+    state.insolvent = reader.read_bool("slo.insolvent");
+  }
+  tenants_ = std::move(loaded);
 }
 
 std::vector<SloAlert> SloWatchdog::drain() {

@@ -28,6 +28,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/state_io.h"
+
 namespace cea::obs {
 
 enum class SloKind : std::uint8_t {
@@ -94,14 +96,19 @@ class SloWatchdog {
   /// Alerts raised since the previous drain, in raise order.
   std::vector<SloAlert> drain();
 
-  /// Forget the alerts and totals accumulated so far while keeping the
-  /// rolling windows and episode state. A checkpoint restore
-  /// (serve/daemon.cpp) replays the last `window` pre-crash emissions
-  /// through observe_slot to rebuild this state — a tenant's alerts depend
-  /// only on its last `window` emissions, the slot and the balance; the
-  /// replayed slots' alerts were already journaled by the previous life
-  /// and must not re-raise or count toward the new life's totals.
-  void absorb_replay();
+  /// The state the rules carry from slot to slot: the window W, and per
+  /// tenant its newest min(slots seen, W) emissions, oldest first, and
+  /// its breach and insolvency episode flags. A tenant's alerts depend
+  /// only on these, the slot and the balance, so a watchdog loaded from
+  /// them raises exactly the alerts this one would. Alerts (pending and
+  /// counted) and the clock-driven feed-stall episode are not saved. The
+  /// daemon carries this in its checkpoint (serve/daemon.cpp).
+  void save_state(util::StateWriter& writer) const;
+  /// Replace the rolling windows and episode flags with saved ones, all
+  /// or nothing. Under a smaller window each tenant keeps its newest
+  /// samples. Throws util::StateError on a tenant-count mismatch or a
+  /// damaged record.
+  void load_state(util::StateReader& reader);
 
   /// Alerts raised per rule since construction (never reset by drain).
   const std::array<std::uint64_t, kSloKindCount>& counts() const noexcept {

@@ -46,6 +46,7 @@ ServeController::ServeController(const std::vector<TenantSpec>& tenants,
 }
 
 void ServeController::set_observer(TenantSlotObserver* observer) {
+  observer_ = observer;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     tenants_[i].engine->set_observer(observer, i);
   }
@@ -108,10 +109,9 @@ void ServeController::step(const trading::TradeObservation& quote,
 }
 
 std::string ServeController::checkpoint_payload() const {
-  // Between checkpoints the payload grows only by the recorded series'
-  // new entries, so an eighth of headroom over the previous size makes
-  // the whole encode one allocation with no regrowth copies.
-  util::StateWriter writer(checkpoint_bytes_ + checkpoint_bytes_ / 8);
+  // The payload holds decision state only, so it is as large as the last
+  // one: reserving that size makes the encode one allocation.
+  util::StateWriter writer(checkpoint_bytes_);
   writer.write_u64("serve.tenants", tenants_.size());
   writer.write_double("serve.market_cap", market_.max_volume_per_slot);
   for (const auto& tenant : tenants_) {
@@ -119,6 +119,8 @@ std::string ServeController::checkpoint_payload() const {
     writer.write_u64("serve.run_seed", tenant.run_seed);
     tenant.engine->save_state(writer);
   }
+  writer.write_string("serve.observer_state",
+                      observer_ != nullptr ? observer_->save_state() : "");
   checkpoint_bytes_ = writer.payload().size();
   return writer.take();
 }
@@ -146,6 +148,7 @@ void ServeController::restore_payload(std::string_view payload) {
     }
     tenant.engine->restore_state(reader);
   }
+  const std::string observer_state = reader.read_string("serve.observer_state");
   reader.expect_end();
   // All engines must agree on the slot cursor; a checkpoint can only be
   // taken at a controller slot boundary, so disagreement means a forged
@@ -156,6 +159,7 @@ void ServeController::restore_payload(std::string_view payload) {
       throw util::StateError("checkpoint: tenants disagree on the slot");
     }
   }
+  if (observer_ != nullptr) observer_->load_state(observer_state);
 }
 
 }  // namespace cea::serve

@@ -16,6 +16,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/config.h"
@@ -30,8 +31,19 @@ namespace cea::serve {
 /// (tenant, slot), in tenant-index order within each slot (phase 3
 /// executes tenants in index order, and every engine hook fires
 /// synchronously). The daemon implements it to feed the decision journal
-/// and the SLO watchdog.
-using TenantSlotObserver = sim::SlotObserver;
+/// and the SLO watchdog. State it keeps across slots travels in the
+/// controller's checkpoint as one opaque record; a stateless observer
+/// keeps the defaults.
+class TenantSlotObserver : public sim::SlotObserver {
+ public:
+  /// The observer's state at a slot boundary, in bytes load_state
+  /// accepts; empty when it keeps none.
+  virtual std::string save_state() const { return {}; }
+  /// Resume from bytes save_state() wrote. They are empty when the
+  /// checkpoint was written with no observer or a stateless one. Throws
+  /// util::StateError on bytes it cannot parse.
+  virtual void load_state(std::string_view state) { (void)state; }
+};
 
 /// One tenant: a scenario, an algorithm pairing, and a run seed.
 struct TenantSpec {
@@ -84,15 +96,19 @@ class ServeController {
   /// detached first.
   void set_observer(TenantSlotObserver* observer);
 
-  /// Serialize the full controller state (meta + every engine) into a
-  /// checkpoint payload for util::encode_checkpoint/write_checkpoint_file.
+  /// Serialize the controller's decision state (meta, every engine, and
+  /// the attached observer's save_state() as one `serve.observer_state`
+  /// string, empty without an observer) into a checkpoint payload for
+  /// util::encode_checkpoint/write_checkpoint_file. Its size does not
+  /// grow with the slots executed.
   std::string checkpoint_payload() const;
 
   /// Restore from a payload produced by checkpoint_payload() on an
-  /// identically configured controller. Throws util::StateError on any
-  /// mismatch (tenant count, names, seeds, market rule, and each engine's
-  /// shape, horizon, environment fingerprint, algorithm, policy and
-  /// trader) or corruption.
+  /// identically configured controller, then hand the observer record to
+  /// the attached observer's load_state (ignored without one). Throws
+  /// util::StateError on any mismatch (tenant count, names, seeds, market
+  /// rule, and each engine's shape, horizon, environment fingerprint,
+  /// algorithm, policy and trader) or corruption.
   void restore_payload(std::string_view payload);
 
  private:
@@ -107,6 +123,7 @@ class ServeController {
   std::vector<Tenant> tenants_;
   std::size_t total_edges_ = 0;
   MarketRule market_;
+  TenantSlotObserver* observer_ = nullptr;
   /// Size of the last checkpoint_payload(): the next one's buffer hint.
   mutable std::size_t checkpoint_bytes_ = 0;
 };

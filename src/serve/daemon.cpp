@@ -46,10 +46,16 @@ bool journaled_alert(obs::SloKind kind) {
 // All observability state of one daemon: the journal writer, the SLO
 // watchdog, the metrics page and the optional TCP endpoint. Implements the
 // engines' observer so every (tenant, slot) decision lands here
-// synchronously, at a pool-quiescent point, in deterministic tenant order.
+// synchronously, at a pool-quiescent point, in deterministic tenant order,
+// and forwards it to the daemon's series recorder when there is one. The
+// watchdog's state travels in the controller's checkpoint (save_state /
+// load_state), so a restored run raises the same alerts with the same
+// values as the uninterrupted one: the journal bit-identity contract
+// extends across restores.
 struct ServeDaemon::Obs final : TenantSlotObserver {
   ServeController& controller;
   const DaemonConfig& config;
+  sim::SeriesRecorder* series;
   obs::SloWatchdog watchdog;
   std::unique_ptr<obs::JournalWriter> journal;
   std::unique_ptr<MetricsServer> server;
@@ -64,9 +70,11 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
   std::vector<TenantView> tenants;
   std::int64_t last_ready_ms = 0;
 
-  Obs(ServeController& controller_in, const DaemonConfig& config_in)
+  Obs(ServeController& controller_in, const DaemonConfig& config_in,
+      sim::SeriesRecorder* series_in)
       : controller(controller_in),
         config(config_in),
+        series(series_in),
         watchdog(config_in.slo, controller_in.num_tenants()) {
     if (!config.journal_dir.empty()) {
       journal = std::make_unique<obs::JournalWriter>(config.journal_dir);
@@ -80,33 +88,22 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
       tenants[i].horizon = controller.tenant_env(i).horizon();
       tenants[i].carbon_cap = controller.tenant_env(i).config().carbon_cap;
     }
-    rebuild_watchdog();
   }
 
-  /// Rebuild the watchdog's rolling windows and episode state from the
-  /// engines — construction over a restored controller and every
-  /// restore_from() land here, so a restored run raises the same alerts
-  /// with the same values as the uninterrupted run would (the journal
-  /// bit-identity contract extends across restores). The watchdog's state
-  /// is a function of its last `window` emissions, the slot and the
-  /// balance, so replaying the last min(window, slot) recorded emissions
-  /// rebuilds it: only the final replayed evaluation's episode state
-  /// survives, and at the restore boundary the live allowance balance IS
-  /// that slot's balance. The replayed slots' own alerts were journaled by
-  /// the previous life; absorb_replay() drops them.
-  void rebuild_watchdog() {
+  std::string save_state() const override {
+    util::StateWriter writer;
+    watchdog.save_state(writer);
+    return writer.take();
+  }
+
+  /// Empty state (a checkpoint written with no observer or a stateless
+  /// one) starts a fresh watchdog. Alert counts start from 0 either way.
+  void load_state(std::string_view state) override {
     watchdog = obs::SloWatchdog(config.slo, tenants.size());
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-      sim::SlotEngine& engine = controller.tenant_engine(i);
-      const auto& emissions = engine.result().emissions;
-      const std::size_t from =
-          emissions.size() - std::min(emissions.size(), config.slo.window);
-      for (std::size_t t = from; t < emissions.size(); ++t) {
-        watchdog.observe_slot(i, {t, tenants[i].horizon, emissions[t],
-                                  engine.allowance_balance()});
-      }
-    }
-    watchdog.absorb_replay();
+    if (state.empty()) return;
+    util::StateReader reader(state);
+    watchdog.load_state(reader);
+    reader.expect_end();
   }
 
   void on_tenant_slot(std::size_t tenant,
@@ -140,6 +137,7 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
 
     watchdog.observe_slot(tenant, {observed.slot, view.horizon,
                                    observed.emission, observed.balance});
+    if (series != nullptr) series->on_tenant_slot(tenant, observed);
   }
 
   /// Route freshly drained alerts: state rules into the journal (as
@@ -226,8 +224,8 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
                  return engine.trader_dual();
                });
     per_tenant("tenant_switches_total", "counter",
-               [](const TenantView&, sim::SlotEngine& engine) {
-                 return static_cast<double>(engine.result().total_switches);
+               [](const TenantView&, const sim::SlotEngine& engine) {
+                 return static_cast<double>(engine.total_switches());
                });
     for (std::size_t kind = 0; kind < obs::kSloKindCount; ++kind) {
       extra.push_back(
@@ -268,8 +266,11 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
 };
 
 ServeDaemon::ServeDaemon(ServeController& controller, FeedSource& feed,
-                         DaemonConfig config)
-    : controller_(controller), feed_(feed), config_(std::move(config)) {
+                         DaemonConfig config, sim::SeriesRecorder* series)
+    : controller_(controller),
+      feed_(feed),
+      config_(std::move(config)),
+      series_(series) {
   if (feed_.num_edges() != controller_.total_edges()) {
     throw std::invalid_argument(
         "ServeDaemon: feed supplies " + std::to_string(feed_.num_edges()) +
@@ -282,13 +283,19 @@ ServeDaemon::ServeDaemon(ServeController& controller, FeedSource& feed,
                              config_.slo.feed_stall_ms > 0 ||
                              config_.slo.slot_deadline_ms > 0;
   if (observability) {
-    obs_ = std::make_unique<Obs>(controller_, config_);
+    obs_ = std::make_unique<Obs>(controller_, config_, series_);
     controller_.set_observer(obs_.get());
+  } else if (series_ != nullptr) {
+    // A recorder keeps no decision state, so the controller's observer
+    // slot (whose state a checkpoint carries) stays empty.
+    for (std::size_t i = 0; i < controller_.num_tenants(); ++i) {
+      controller_.tenant_engine(i).set_observer(series_, i);
+    }
   }
 }
 
 ServeDaemon::~ServeDaemon() {
-  if (obs_ != nullptr) controller_.set_observer(nullptr);
+  if (obs_ != nullptr || series_ != nullptr) controller_.set_observer(nullptr);
 }
 
 int ServeDaemon::metrics_port() const noexcept {
@@ -309,7 +316,6 @@ bool ServeDaemon::restore_if_present() {
 
 void ServeDaemon::restore_from(const std::string& path) {
   controller_.restore_payload(util::read_checkpoint_file(path));
-  if (obs_ != nullptr) obs_->rebuild_watchdog();
 }
 
 void ServeDaemon::write_checkpoint() {

@@ -19,6 +19,7 @@
 #include "obs/slo.h"
 #include "serve/controller.h"
 #include "serve/feed.h"
+#include "sim/series_recorder.h"
 
 namespace cea::serve {
 
@@ -84,9 +85,11 @@ struct DaemonReport {
 class ServeDaemon {
  public:
   /// The controller and feed must outlive the daemon. The feed's edge
-  /// width must equal the controller's total_edges().
+  /// width must equal the controller's total_edges(). `series`, when
+  /// given (serve_daemon --trace-out), records every slot this daemon
+  /// executes; it must outlive the daemon.
   ServeDaemon(ServeController& controller, FeedSource& feed,
-              DaemonConfig config);
+              DaemonConfig config, sim::SeriesRecorder* series = nullptr);
   ~ServeDaemon();  // out of line: the observability state is incomplete here
 
   /// Restore the controller from config.checkpoint_path if the file
@@ -94,7 +97,9 @@ class ServeDaemon {
   bool restore_if_present();
 
   /// Restore from an explicit checkpoint file (throws util::StateError on
-  /// a missing/corrupt/mismatched file).
+  /// a missing/corrupt/mismatched file). The SLO watchdog's state comes
+  /// from the checkpoint too; one written without it starts a fresh
+  /// watchdog.
   void restore_from(const std::string& path);
 
   /// Drive the controller until the feed ends, max_slots/stop_after_slots
@@ -113,6 +118,7 @@ class ServeDaemon {
   ServeController& controller_;
   FeedSource& feed_;
   DaemonConfig config_;
+  sim::SeriesRecorder* series_ = nullptr;
   struct Obs;  // journal writer + watchdog + metrics sinks (daemon.cpp)
   std::unique_ptr<Obs> obs_;
 };

@@ -62,6 +62,11 @@ class Environment {
   /// and all get the same object.
   const data::WorkloadTraces& workload() const;
   const data::PriceSeries& prices() const noexcept { return prices_; }
+  /// Price per uncovered allowance unit at the end of the horizon
+  /// (SimConfig::settlement_penalty_multiplier x the final buying price).
+  double settlement_price() const noexcept {
+    return config_.settlement_penalty_multiplier * prices_.buy.back();
+  }
 
   std::size_t num_edges() const noexcept { return config_.num_edges; }
   std::size_t num_models() const noexcept { return models_.size(); }

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "obs/telemetry.h"
+#include "sim/series_recorder.h"
 #include "sim/slot_engine.h"
 
 namespace cea::sim {
@@ -41,7 +42,9 @@ RunResult Simulator::run(const bandit::FleetPolicyFactory& policy_factory,
   auto fleet = policy_factory(fleet_policy_context(run_seed));
   auto trader = trader_factory(trader_context(run_seed));
   SlotEngine engine(env_, options_, std::move(fleet), std::move(trader),
-                    run_seed, std::move(algorithm_name));
+                    run_seed, algorithm_name);
+  SeriesRecorder recorder(1, env_.horizon());
+  engine.set_observer(&recorder, 0);
   const data::WorkloadTraces& workload = env_.workload();
   const data::PriceSeries& prices = env_.prices();
   std::vector<int> column(env_.num_edges());
@@ -52,7 +55,10 @@ RunResult Simulator::run(const bandit::FleetPolicyFactory& policy_factory,
     const trading::TradeDecision trade = engine.begin_slot(quote);
     engine.finish_slot(quote, trade, column);
   }
-  return engine.take_result();
+  RunResult result = recorder.take(0);
+  result.algorithm = std::move(algorithm_name);
+  result.settlement_price = env_.settlement_price();
+  return result;
 }
 
 }  // namespace cea::sim

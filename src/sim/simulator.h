@@ -63,7 +63,8 @@ struct SimOptions {
 /// (SimOptions::pool) is bit-identical to the serial one. The slot loop
 /// itself is sim::SlotEngine; a run feeds it each slot's price quote and
 /// workload column from the environment's traces, exactly as the serving
-/// daemon feeds it a feed's.
+/// daemon feeds it a feed's, and records the per-slot series through a
+/// sim::SeriesRecorder (the engine keeps decision state only).
 class Simulator {
  public:
   explicit Simulator(const Environment& environment, SimOptions options = {})

@@ -22,26 +22,11 @@ SlotEngine::SlotEngine(const Environment& env, const SimOptions& options,
       num_models_(env.num_models()),
       // Base of the per-(edge, slot) draw streams.
       draw_seed_(run_seed ^ 0xD1CE5EEDBEEFULL),
+      algorithm_(std::move(algorithm_name)),
       state_(env) {
   assert(fleet_ != nullptr && fleet_->num_edges() == num_edges_);
   assert(trader_ != nullptr);
   const auto& config = env_.config();
-
-  result_.algorithm = std::move(algorithm_name);
-  const std::size_t horizon = env_.horizon();
-  result_.inference_cost.reserve(horizon);
-  result_.switching_cost.reserve(horizon);
-  result_.trading_cost.reserve(horizon);
-  result_.emissions.reserve(horizon);
-  result_.buys.reserve(horizon);
-  result_.sells.reserve(horizon);
-  result_.accuracy.reserve(horizon);
-  result_.workload.reserve(horizon);
-  result_.selection_counts.assign(
-      num_edges_, std::vector<std::size_t>(num_models_, 0));
-  result_.carbon_cap = config.carbon_cap;
-  result_.settlement_price =
-      config.settlement_penalty_multiplier * env_.prices().buy.back();
 
   // Environment fingerprint: every value the slot arithmetic, the fleet
   // policy (FleetPolicyContext) and the trader (TraderContext) read from
@@ -52,7 +37,7 @@ SlotEngine::SlotEngine(const Environment& env, const SimOptions& options,
     const std::size_t E = num_edges_;
     const std::size_t N = num_models_;
     util::StateWriter values;
-    values.write_u64("horizon", horizon);
+    values.write_u64("horizon", env_.horizon());
     values.write_double("carbon_cap", config.carbon_cap);
     values.write_double("max_trade_per_slot", config.max_trade_per_slot);
     values.write_double("emission_rate", config.emission_rate);
@@ -60,7 +45,7 @@ SlotEngine::SlotEngine(const Environment& env, const SimOptions& options,
     values.write_u64("loss_shift_slot", config.loss_shift_slot);
     values.write_bool("clamp_sales_to_holdings",
                       config.clamp_sales_to_holdings);
-    values.write_double("settlement_price", result_.settlement_price);
+    values.write_double("settlement_price", env_.settlement_price());
     values.write_doubles("energy_per_sample", {state_.energy_per_sample(), N});
     values.write_doubles("mean_loss", {state_.mean_loss(), N});
     const std::vector<std::uint64_t> shift_target(
@@ -255,19 +240,17 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
   double slot_samples = 0.0;
   {
     CEA_SPAN_DETAIL("sim.reduce");
-    const std::size_t switches_before = result_.total_switches;
+    const std::uint64_t switches_before = total_switches_;
     const double* part_inference = state_.part_inference();
     const double* part_switch_cost = state_.part_switch_cost();
     const std::uint8_t* part_switched = state_.part_switched();
-    const std::uint32_t* part_model = state_.part_model();
     const double* part_energy = state_.part_energy();
     const double* part_correct = state_.part_correct();
     const double* part_samples = state_.part_samples();
     for (std::size_t i = 0; i < num_edges_; ++i) {
       slot_inference += part_inference[i];
       slot_switch_cost += part_switch_cost[i];
-      if (part_switched[i]) ++result_.total_switches;
-      ++result_.selection_counts[i][part_model[i]];
+      total_switches_ += part_switched[i];
       slot_energy_kwh += part_energy[i];
       weighted_correct += part_correct[i];
       slot_samples += part_samples[i];
@@ -275,7 +258,7 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
     if (obs_detail_) {
       static const obs::MetricId obs_switches = obs::counter("sim.switches");
       obs::add(obs_switches,
-               static_cast<double>(result_.total_switches - switches_before));
+               static_cast<double>(total_switches_ - switches_before));
     }
   }
 
@@ -292,24 +275,16 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
 #endif
   allowance_balance_ += trade.buy - trade.sell - emission;
   emission_total_ += emission;
-  result_.inference_cost.push_back(slot_inference);
-  result_.switching_cost.push_back(slot_switch_cost);
-  result_.emissions.push_back(emission);
-  result_.buys.push_back(trade.buy);
-  result_.sells.push_back(trade.sell);
-  result_.trading_cost.push_back(trade.cost(quote));
-  result_.accuracy.push_back(
-      slot_samples > 0.0 ? weighted_correct / slot_samples : 0.0);
-  result_.workload.push_back(slot_samples);
+  const double slot_accuracy =
+      slot_samples > 0.0 ? weighted_correct / slot_samples : 0.0;
 
 #if defined(CEA_AUDIT)
   {
     CEA_SPAN_DETAIL("sim.audit");
     // Ledger identity: allowance_balance == R + sum_{s<=t}(z - w - e),
-    // re-derived from the recorded series (tolerance covers the different
+    // with the flows summed on their own (tolerance covers the different
     // accumulation grouping).
-    audit_net_flow_ +=
-        result_.buys[t_] - result_.sells[t_] - result_.emissions[t_];
+    audit_net_flow_ += trade.buy - trade.sell - emission;
     const double ledger = config.carbon_cap + audit_net_flow_;
     const double scale =
         std::max({1.0, std::abs(allowance_balance_), std::abs(ledger)});
@@ -328,20 +303,19 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
               "simulator.emission_identity", audit::kNoIndex, t_, emission,
               "emission " << emission << " != rho * energy = "
                           << config.emission_rate * audit_energy);
-    // Per-slot sanity of the recorded series.
-    CEA_CHECK(result_.buys[t_] >= 0.0 &&
-                  result_.buys[t_] <= config.max_trade_per_slot + 1e-9 &&
-                  result_.sells[t_] >= 0.0 &&
-                  result_.sells[t_] <= config.max_trade_per_slot + 1e-9,
+    // Per-slot sanity of the executed trade and the slot accuracy.
+    CEA_CHECK(trade.buy >= 0.0 &&
+                  trade.buy <= config.max_trade_per_slot + 1e-9 &&
+                  trade.sell >= 0.0 &&
+                  trade.sell <= config.max_trade_per_slot + 1e-9,
               "simulator.trade_box", audit::kNoIndex, t_,
-              result_.buys[t_] - result_.sells[t_],
-              "trade (" << result_.buys[t_] << ", " << result_.sells[t_]
+              trade.buy - trade.sell,
+              "trade (" << trade.buy << ", " << trade.sell
                         << ") outside [0, " << config.max_trade_per_slot
                         << "]^2");
-    CEA_CHECK(result_.accuracy[t_] >= 0.0 && result_.accuracy[t_] <= 1.0,
-              "simulator.accuracy_range", audit::kNoIndex, t_,
-              result_.accuracy[t_],
-              "slot accuracy " << result_.accuracy[t_] << " outside [0, 1]");
+    CEA_CHECK(slot_accuracy >= 0.0 && slot_accuracy <= 1.0,
+              "simulator.accuracy_range", audit::kNoIndex, t_, slot_accuracy,
+              "slot accuracy " << slot_accuracy << " outside [0, 1]");
   }
 #endif
 
@@ -350,18 +324,20 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
     trader_->feedback(t_, emission, quote, trade);
   }
 
-  // Decision journal hook: one snapshot per slot, only when someone is
-  // attached (the daemon; batch runs and perf_fleet attach nothing, so
-  // this is one null check on their hot path). Every value is already
-  // fixed by the serial reduction above.
+  // The slot's only output: one snapshot for the attached observer (a
+  // SeriesRecorder in batch runs; the daemon's journal and watchdog), or
+  // one null check when there is none. Every value is already fixed by
+  // the serial reduction above.
   if (observer_ != nullptr) {
+    const std::uint32_t* part_model = state_.part_model();
     obs_model_counts_.assign(num_models_, 0);
     for (std::size_t i = 0; i < num_edges_; ++i)
-      ++obs_model_counts_[state_.part_model()[i]];
+      ++obs_model_counts_[part_model[i]];
     SlotObservation observed;
     observed.slot = t_;
     observed.model_counts = obs_model_counts_;
-    observed.switches_total = result_.total_switches;
+    observed.hosted_models = {part_model, num_edges_};
+    observed.switches_total = total_switches_;
     observed.arena_overflows = state_.arena_overflows();
     observed.trader_dual = trader_->dual_value();
     observed.buy = trade.buy;
@@ -371,27 +347,15 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
     observed.emission = emission;
     observed.balance = allowance_balance_;
     observed.carbon_cap = config.carbon_cap;
-    observed.inference_cost = result_.inference_cost.back();
-    observed.switching_cost = result_.switching_cost.back();
-    observed.trading_cost = result_.trading_cost.back();
-    observed.accuracy = result_.accuracy.back();
-    observed.workload = result_.workload.back();
+    observed.inference_cost = slot_inference;
+    observed.switching_cost = slot_switch_cost;
+    observed.trading_cost = trade.cost(quote);
+    observed.accuracy = slot_accuracy;
+    observed.workload = slot_samples;
     observer_->on_tenant_slot(observer_tenant_, observed);
   }
 
   ++t_;
-}
-
-const RunResult& SlotEngine::result() noexcept {
-  // Zero in steady state (bench/perf_fleet and tests/sim/test_fleet gate
-  // on it): both arenas were reserved for their worst case up front.
-  result_.arena_overflows = state_.arena_overflows();
-  return result_;
-}
-
-RunResult SlotEngine::take_result() {
-  result_.arena_overflows = state_.arena_overflows();
-  return std::move(result_);
 }
 
 void SlotEngine::save_state(util::StateWriter& writer) const {
@@ -400,22 +364,10 @@ void SlotEngine::save_state(util::StateWriter& writer) const {
   writer.write_u64("engine.models", num_models_);
   writer.write_u64("engine.horizon", env_.horizon());
   writer.write_u64("engine.env_fingerprint", env_fingerprint_);
-  writer.write_string("engine.algorithm", result_.algorithm);
+  writer.write_string("engine.algorithm", algorithm_);
   writer.write_double("engine.balance", allowance_balance_);
-  writer.write_u64("engine.total_switches", result_.total_switches);
-  writer.write_doubles("engine.inference_cost", result_.inference_cost);
-  writer.write_doubles("engine.switching_cost", result_.switching_cost);
-  writer.write_doubles("engine.trading_cost", result_.trading_cost);
-  writer.write_doubles("engine.emissions", result_.emissions);
-  writer.write_doubles("engine.buys", result_.buys);
-  writer.write_doubles("engine.sells", result_.sells);
-  writer.write_doubles("engine.accuracy", result_.accuracy);
-  writer.write_doubles("engine.workload", result_.workload);
-  std::vector<std::uint64_t> scratch;
-  scratch.reserve(num_edges_ * num_models_);
-  for (const auto& row : result_.selection_counts)
-    for (std::size_t c : row) scratch.push_back(c);
-  writer.write_u64s("engine.selection_counts", scratch);
+  writer.write_double("engine.emission_total", emission_total_);
+  writer.write_u64("engine.total_switches", total_switches_);
   writer.write_u32s("engine.previous_model",
                     {state_.previous_model(), num_edges_});
   writer.write_string("engine.policy", fleet_->name());
@@ -454,26 +406,13 @@ void SlotEngine::restore_state(util::StateReader& reader) {
         "draw cap, loss shift, holdings clamp, prices or edge costs)");
   }
   const std::string algorithm = reader.read_string("engine.algorithm");
-  if (algorithm != result_.algorithm) {
+  if (algorithm != algorithm_) {
     throw util::StateError("checkpoint: algorithm mismatch (checkpoint '" +
-                           algorithm + "', engine '" + result_.algorithm +
-                           "')");
+                           algorithm + "', engine '" + algorithm_ + "')");
   }
   allowance_balance_ = reader.read_double("engine.balance");
-  result_.total_switches = reader.read_u64("engine.total_switches");
-  result_.inference_cost = reader.read_doubles("engine.inference_cost", slot);
-  result_.switching_cost = reader.read_doubles("engine.switching_cost", slot);
-  result_.trading_cost = reader.read_doubles("engine.trading_cost", slot);
-  result_.emissions = reader.read_doubles("engine.emissions", slot);
-  result_.buys = reader.read_doubles("engine.buys", slot);
-  result_.sells = reader.read_doubles("engine.sells", slot);
-  result_.accuracy = reader.read_doubles("engine.accuracy", slot);
-  result_.workload = reader.read_doubles("engine.workload", slot);
-  const auto counts =
-      reader.read_u64s("engine.selection_counts", num_edges_ * num_models_);
-  for (std::size_t i = 0; i < num_edges_; ++i)
-    for (std::size_t n = 0; n < num_models_; ++n)
-      result_.selection_counts[i][n] = counts[i * num_models_ + n];
+  emission_total_ = reader.read_double("engine.emission_total");
+  total_switches_ = reader.read_u64("engine.total_switches");
   const auto hosted = reader.read_u32s("engine.previous_model", num_edges_);
   for (std::size_t i = 0; i < num_edges_; ++i) {
     if (hosted[i] != FleetState::kNoModel && hosted[i] >= num_models_) {
@@ -500,18 +439,10 @@ void SlotEngine::restore_state(util::StateReader& reader) {
                            "' does not support checkpointing");
   }
   t_ = slot;
-  // Same slot-order accumulation as finish_slot: the same bits as the
-  // uninterrupted run's running total.
-  emission_total_ = 0.0;
-  for (const double emission : result_.emissions) emission_total_ += emission;
 #if defined(CEA_AUDIT)
-  // Rebuild the independent audit ledger from the restored series in the
-  // same per-slot accumulation order the uninterrupted run used.
-  audit_net_flow_ = 0.0;
-  for (std::size_t s = 0; s < t_; ++s) {
-    audit_net_flow_ +=
-        result_.buys[s] - result_.sells[s] - result_.emissions[s];
-  }
+  // The checkpoint holds no flow history: the ledger check continues from
+  // the restored balance and audits the flows from here on.
+  audit_net_flow_ = allowance_balance_ - env_.config().carbon_cap;
 #endif
 }
 

@@ -17,7 +17,10 @@
 // everything mutable (policy, trader, draw streams, ledger) is snapshotted
 // bit-exactly by save_state()/restore_state() — the checkpoint contract is
 // that an engine restored at any slot boundary continues exactly like the
-// uninterrupted one (tests/serve/test_checkpoint.cpp).
+// uninterrupted one (tests/serve/test_checkpoint.cpp). The engine keeps
+// decision state only: each slot's outcome leaves it once, as the
+// SlotObservation handed to its observer (sim/series_recorder.h records
+// the per-slot series), so its checkpoint does not grow with run length.
 
 #include <cstdint>
 #include <functional>
@@ -30,7 +33,6 @@
 #include "opt/tsallis_batch.h"
 #include "sim/environment.h"
 #include "sim/fleet_state.h"
-#include "sim/metrics.h"
 #include "sim/simulator.h"
 #include "trading/trader.h"
 #include "util/rng.h"
@@ -41,14 +43,18 @@ namespace cea::sim {
 
 /// Per-slot decision snapshot handed to an attached SlotObserver at the
 /// very end of finish_slot (after the trader feedback, before the cursor
-/// advances). Every field comes out of the serial edge-ordered reduction,
-/// so observers inherit the engine's serial/pooled bit-identity. The
-/// counts span aliases engine scratch — copy it if it must outlive the
-/// callback.
+/// advances) — the engine's only per-slot output: it keeps no history, so
+/// whoever wants the per-slot series records them (sim::SeriesRecorder,
+/// the daemon's decision journal). Every field comes out of the serial
+/// edge-ordered reduction, so observers inherit the engine's serial/pooled
+/// bit-identity. Both spans alias engine state — copy them if they must
+/// outlive the callback.
 struct SlotObservation {
   std::size_t slot = 0;  ///< the slot just executed
   /// Edges that selected each model this slot (size = num_models()).
   std::span<const std::uint64_t> model_counts;
+  /// The model each edge hosted this slot (size = num_edges()).
+  std::span<const std::uint32_t> hosted_models;
   std::uint64_t switches_total = 0;   ///< cumulative switches so far
   /// Reserved, always 0. Kept so the journal's CEA-JOURNAL v1 layout and
   /// its existing segments stay valid; it used to count the slot's
@@ -99,6 +105,8 @@ class SlotEngine {
   double allowance_balance() const noexcept { return allowance_balance_; }
   /// Sum of the slots' emissions e^t, accumulated in slot order.
   double emission_total() const noexcept { return emission_total_; }
+  /// Model switches (a hosted model replaced) over the slots so far.
+  std::uint64_t total_switches() const noexcept { return total_switches_; }
   /// The trader's dual state after the latest feedback (λ for
   /// Algorithm 2; TradingPolicy::dual_value).
   double trader_dual() const { return trader_->dual_value(); }
@@ -123,12 +131,8 @@ class SlotEngine {
     observer_tenant_ = tenant;
   }
 
-  /// Slots executed so far, as a RunResult (series have length slot()).
-  const RunResult& result() noexcept;
-  RunResult take_result();
-
-  /// Snapshot the full mutable state — slot cursor, ledger, recorded
-  /// series, hosted models, bandit and trader state — such that
+  /// Snapshot the decision state — slot cursor, ledger, emission and
+  /// switch totals, hosted models, bandit and trader state — such that
   /// restore_state() on a freshly constructed engine (same environment,
   /// options, factories, run_seed) continues bit-identically. Throws
   /// util::StateError when the policy or trader does not implement
@@ -157,12 +161,15 @@ class SlotEngine {
   /// to checkpoints so a restore into a different scenario is refused.
   std::uint64_t env_fingerprint_ = 0;
 
-  RunResult result_;
+  std::string algorithm_;
   FleetState state_;
 
   double allowance_balance_ = 0.0;
   double emission_total_ = 0.0;
+  std::uint64_t total_switches_ = 0;
 #if defined(CEA_AUDIT)
+  /// Independent running sum of z - w - e for the ledger check; a restore
+  /// re-seeds it from the restored balance.
   double audit_net_flow_ = 0.0;
 #endif
 

@@ -196,10 +196,12 @@ std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 /// multiply chain into 8 that run side by side.
 std::uint64_t checkpoint_checksum(std::string_view bytes) noexcept;
 
-/// v4: the fleet's per-edge RNGs are one rng[] record, its cursors and
-/// the engine's hosted models u32[], its flags u8[]; and the checksum runs
-/// 8 lanes (DESIGN §11).
-inline constexpr int kCheckpointVersion = 4;
+/// v5: decision state only. The engine's per-slot series and per-edge
+/// selection counts are gone, it stores its emission total, and the
+/// controller ends with the observer's state (DESIGN §11). v4 made the
+/// fleet's per-edge RNGs one rng[] record, its cursors and the engine's
+/// hosted models u32[], its flags u8[], and ran the checksum over 8 lanes.
+inline constexpr int kCheckpointVersion = 5;
 
 /// Serialize `payload` into the envelope format (header + payload bytes).
 std::string encode_checkpoint(std::string_view payload);

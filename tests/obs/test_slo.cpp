@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 namespace cea::obs {
@@ -147,8 +148,8 @@ TEST(SloWatchdog, IdenticalInputsRaiseIdenticalAlerts) {
 
 TEST(SloWatchdog, AlertsDependOnlyOnTheWindowSlotAndBalance) {
   // A tenant's alerts are a function of its last `window` emissions, the
-  // slot and the balance — not of what came before the window — so a
-  // restore that replays only the window rebuilds the watchdog exactly.
+  // slot and the balance — not of what came before the window — so the
+  // saved window (save_state) is all a restore needs.
   // One watchdog first sees a huge emission that has left the window; the
   // other never saw it.
   SloConfig config;
@@ -176,6 +177,91 @@ TEST(SloWatchdog, AlertsDependOnlyOnTheWindowSlotAndBalance) {
       << a[0].value << " vs " << b[0].value;
   EXPECT_EQ(std::memcmp(&a[0].threshold, &b[0].threshold, sizeof(double)),
             0);
+}
+
+// Both tenants' inputs at slot t: emissions cycling through 0.5-4.5 and
+// balances that swing between plenty and a falling, finally negative
+// floor, so breach episodes open and close and insolvency fires.
+void feed(SloWatchdog& watchdog, std::uint64_t t) {
+  const double emission = 0.5 + static_cast<double>((t * 7) % 5);
+  const double low = 5.0 - 0.5 * static_cast<double>(t);
+  watchdog.observe_slot(0, slot(t, emission, t % 16 < 8 ? 200.0 : low, 64));
+  watchdog.observe_slot(
+      1, slot(t, 0.25 * emission, 30.0 - static_cast<double>(t), 64));
+}
+
+std::string saved(const SloWatchdog& watchdog) {
+  util::StateWriter writer;
+  watchdog.save_state(writer);
+  return writer.take();
+}
+
+void load(SloWatchdog& watchdog, const std::string& state) {
+  util::StateReader reader(state);
+  watchdog.load_state(reader);
+  reader.expect_end();
+}
+
+TEST(SloWatchdog, StateRoundTripsAndContinuesIdentically) {
+  // Saved at slot k (before the window fills, as it fills, and after)
+  // and loaded into a fresh watchdog, the state raises exactly the alerts
+  // the original raises from k on, with the same bits, and saves back to
+  // the same bytes.
+  SloConfig config;
+  config.window = 8;
+  std::size_t continued_alerts = 0;
+  for (const std::uint64_t k : {0, 3, 8, 20}) {
+    SloWatchdog original(config, 2);
+    for (std::uint64_t t = 0; t < k; ++t) feed(original, t);
+    original.drain();
+    const std::string state = saved(original);
+    SloWatchdog restored(config, 2);
+    load(restored, state);
+    EXPECT_EQ(saved(restored), state) << "k = " << k;
+    for (std::uint64_t t = k; t < 64; ++t) {
+      feed(original, t);
+      feed(restored, t);
+      const auto a = original.drain();
+      const auto b = restored.drain();
+      ASSERT_EQ(a.size(), b.size()) << "k = " << k << ", slot " << t;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].kind, b[i].kind);
+        EXPECT_EQ(a[i].tenant, b[i].tenant);
+        EXPECT_EQ(a[i].slot, b[i].slot);
+        EXPECT_EQ(std::memcmp(&a[i].value, &b[i].value, sizeof(double)), 0);
+        EXPECT_EQ(
+            std::memcmp(&a[i].threshold, &b[i].threshold, sizeof(double)), 0);
+      }
+      continued_alerts += a.size();
+    }
+    EXPECT_EQ(saved(restored), saved(original)) << "k = " << k;
+  }
+  EXPECT_GE(continued_alerts, 8u);  // the pattern does raise alerts
+
+  // Under a smaller window each tenant keeps its newest samples.
+  SloWatchdog wide(config, 2);
+  for (std::uint64_t t = 0; t < 20; ++t) feed(wide, t);
+  SloConfig narrow_config;
+  narrow_config.window = 3;
+  SloWatchdog narrow(narrow_config, 2);
+  const std::string wide_bytes = saved(wide);
+  load(narrow, wide_bytes);
+  util::StateReader wide_state(wide_bytes);
+  wide_state.read_u64("slo.window");
+  wide_state.read_u64("slo.tenants");
+  const std::vector<double> newest = wide_state.read_doubles("slo.emissions");
+  ASSERT_EQ(newest.size(), 8u);
+  const std::string narrow_bytes = saved(narrow);
+  util::StateReader narrow_state(narrow_bytes);
+  EXPECT_EQ(narrow_state.read_u64("slo.window"), 3u);
+  EXPECT_EQ(narrow_state.read_u64("slo.tenants"), 2u);
+  EXPECT_EQ(narrow_state.read_doubles("slo.emissions"),
+            std::vector<double>(newest.end() - 3, newest.end()));
+
+  // A state saved for another tenant count is refused.
+  SloWatchdog other(config, 3);
+  util::StateReader reader(wide_bytes);
+  EXPECT_THROW(other.load_state(reader), util::StateError);
 }
 
 TEST(SloWatchdog, KindNamesAreStable) {

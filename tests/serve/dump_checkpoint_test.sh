@@ -1,7 +1,8 @@
 #!/bin/sh
 # journal_query --dump-checkpoint on a checkpoint serve_daemon wrote: the
-# text view carries the tenants, the slot and the fleet's typed per-edge
-# records, and a truncated or bit-flipped file exits 3.
+# text view carries the tenants, the slot, the engines' emission totals
+# and the fleet's typed per-edge records and no per-slot history, and a
+# truncated or bit-flipped file exits 3.
 #
 #   dump_checkpoint_test.sh SERVE_DAEMON JOURNAL_QUERY WORK_DIR
 set -eu
@@ -15,7 +16,13 @@ mkdir -p "$work"
 "$query" --dump-checkpoint "$work/ck.bin" > "$work/dump.txt"
 grep -qx 'serve.tenants u64 1 2' "$work/dump.txt"
 test "$(grep -cx 'engine.slot u64 1 8' "$work/dump.txt")" -eq 2
-test "$(grep -c '^engine.emissions f64\[\] 8 ' "$work/dump.txt")" -eq 2
+test "$(grep -c '^engine.emission_total f64 1 ' "$work/dump.txt")" -eq 2
+# v5 holds decision state only: no per-slot series, no selection counts.
+history='inference_cost|switching_cost|trading_cost|emissions|buys|sells'
+history="$history|accuracy|workload|selection_counts"
+if grep -Eq "^engine\.($history) " "$work/dump.txt"; then exit 1; fi
+# Without observability the observer record is an empty string.
+grep -qx 'serve.observer_state str 0 ' "$work/dump.txt"
 # Each tenant's 3 generators are one rng[] record; its cursors are u32[]
 # and its flags u8[].
 test "$(grep -c '^btfleet\.rng rng\[\] 3 ' "$work/dump.txt")" -eq 2

@@ -20,6 +20,7 @@
 #include "serve/daemon.h"
 #include "serve/feed.h"
 #include "sim/experiment.h"
+#include "sim/series_recorder.h"
 #include "util/state_io.h"
 #include "util/thread_pool.h"
 
@@ -56,23 +57,77 @@ void drive(ServeController& controller, FeedSource& feed, std::size_t until) {
   }
 }
 
-std::vector<Trace> traces_of(ServeController& controller) {
-  std::vector<Trace> traces;
+// The engines keep no history: a test records a controller's slots by
+// attaching a SeriesRecorder to every tenant engine.
+void record(ServeController& controller, sim::SeriesRecorder& series) {
   for (std::size_t i = 0; i < controller.num_tenants(); ++i) {
-    traces.push_back(trace_of(controller.tenant_engine(i).result()));
+    controller.tenant_engine(i).set_observer(&series, i);
+  }
+}
+
+// The record of a run split across two lives: the first life's slots,
+// then the second's. Selection counts add up; the switch total and the
+// arena overflows are cumulative, so the later life's stand.
+sim::RunResult joined(sim::RunResult first, const sim::RunResult& second) {
+  const auto append = [](std::vector<double>& to,
+                         const std::vector<double>& from) {
+    to.insert(to.end(), from.begin(), from.end());
+  };
+  append(first.inference_cost, second.inference_cost);
+  append(first.switching_cost, second.switching_cost);
+  append(first.trading_cost, second.trading_cost);
+  append(first.emissions, second.emissions);
+  append(first.buys, second.buys);
+  append(first.sells, second.sells);
+  append(first.accuracy, second.accuracy);
+  append(first.workload, second.workload);
+  if (second.horizon() == 0) return first;
+  if (first.selection_counts.empty()) {
+    first.selection_counts = second.selection_counts;
+  } else {
+    for (std::size_t i = 0; i < first.selection_counts.size(); ++i)
+      for (std::size_t n = 0; n < first.selection_counts[i].size(); ++n)
+        first.selection_counts[i][n] += second.selection_counts[i][n];
+  }
+  first.total_switches = second.total_switches;
+  first.arena_overflows = second.arena_overflows;
+  first.carbon_cap = second.carbon_cap;
+  return first;
+}
+
+std::vector<Trace> traces_of(const sim::SeriesRecorder& series) {
+  std::vector<Trace> traces;
+  for (std::size_t i = 0; i < series.num_tenants(); ++i) {
+    traces.push_back(trace_of(series.result(i)));
   }
   return traces;
 }
 
-void expect_identical(ServeController& expected, ServeController& actual) {
+// Every tenant's recorded slots match, and so do the controllers' final
+// decision states, byte for byte.
+void expect_identical(ServeController& expected,
+                      const std::vector<Trace>& expected_traces,
+                      ServeController& actual,
+                      const std::vector<Trace>& actual_traces) {
   ASSERT_EQ(expected.num_tenants(), actual.num_tenants());
-  const auto expected_traces = traces_of(expected);
-  const auto actual_traces = traces_of(actual);
+  ASSERT_EQ(expected_traces.size(), actual_traces.size());
   for (std::size_t i = 0; i < expected_traces.size(); ++i) {
     const auto diffs = diff_traces(expected_traces[i], actual_traces[i]);
     EXPECT_TRUE(diffs.empty())
         << "tenant " << expected.tenant_name(i) << ":\n" << join_diffs(diffs);
   }
+  EXPECT_EQ(expected.checkpoint_payload(), actual.checkpoint_payload());
+}
+
+// A second life's record continues the first life's.
+std::vector<Trace> traces_of(const sim::SeriesRecorder& first_life,
+                             const sim::SeriesRecorder& second_life) {
+  std::vector<Trace> traces;
+  for (std::size_t i = 0; i < first_life.num_tenants(); ++i) {
+    traces.push_back(
+        trace_of(joined(first_life.result(i), second_life.result(i))));
+  }
+  return traces;
 }
 
 std::string temp_checkpoint_path() {
@@ -96,15 +151,18 @@ TEST(ServeVsSimulator, ReplayedDaemonMatchesBatchRunBitForBit) {
                                              config.horizon)};
   ServeController controller(specs, sim::SimOptions{});
   ReplayFeed feed(env.workload(), env.prices());
-  ServeDaemon daemon(controller, feed, DaemonConfig{});
+  sim::SeriesRecorder series(1);
+  ServeDaemon daemon(controller, feed, DaemonConfig{}, &series);
   const DaemonReport report = daemon.run();
 
   EXPECT_TRUE(report.feed_ended);
   EXPECT_EQ(report.final_slot, config.horizon);
   EXPECT_EQ(report.slots_processed, config.horizon);
-  const auto diffs =
-      diff_traces(trace_of(batch),
-                  trace_of(controller.tenant_engine(0).result()));
+  // The settlement price is a scenario fact, not a slot's output.
+  sim::RunResult served = series.result(0);
+  served.algorithm = batch.algorithm;
+  served.settlement_price = controller.tenant_env(0).settlement_price();
+  const auto diffs = diff_traces(trace_of(batch), trace_of(served));
   EXPECT_TRUE(diffs.empty()) << join_diffs(diffs);
 }
 
@@ -121,32 +179,41 @@ TEST(CheckpointRoundTrip, EverySlotBoundaryRestoresBitIdentically) {
   SyntheticFeed feed(2, 77);
 
   ServeController reference(specs, sim::SimOptions{});
+  sim::SeriesRecorder reference_series(1);
+  record(reference, reference_series);
   drive(reference, feed, kHorizon);
-  const auto reference_traces = traces_of(reference);
+  const auto reference_traces = traces_of(reference_series);
+  const std::string reference_payload = reference.checkpoint_payload();
 
   for (std::size_t k = 0; k <= kHorizon; ++k) {
     ServeController first_life(specs, sim::SimOptions{});
+    sim::SeriesRecorder first_series(1);
+    record(first_life, first_series);
     drive(first_life, feed, k);
     const std::string payload = first_life.checkpoint_payload();
 
     ServeController second_life(specs, sim::SimOptions{});
+    sim::SeriesRecorder second_series(1);
+    record(second_life, second_series);
     second_life.restore_payload(payload);
     ASSERT_EQ(second_life.slot(), k);
     drive(second_life, feed, kHorizon);
 
-    const auto restored = traces_of(second_life);
+    const auto restored = traces_of(first_series, second_series);
     const auto diffs = diff_traces(reference_traces[0], restored[0]);
     EXPECT_TRUE(diffs.empty())
         << "checkpoint at slot " << k << ":\n" << join_diffs(diffs);
+    EXPECT_EQ(second_life.checkpoint_payload(), reference_payload)
+        << "checkpoint at slot " << k;
   }
 }
 
 TEST(Checkpoint, PerEdgeBytesFollowTheRecordLayout) {
-  // Per edge and model: the Chat and p slabs (f64) and the selection
-  // counts (u64), 24 bytes. Per edge: one rng[] element (41), the warm
-  // root and block loss (f64, 16), the block index, arm and slots left
-  // (u32, 12), the block-open and presolved flags (u8, 2) and the hosted
-  // model (u32, 4), 75 bytes. Everything else is the same for any E.
+  // Per edge and model: the Chat and p slabs (f64), 16 bytes. Per edge:
+  // one rng[] element (41), the warm root and block loss (f64, 16), the
+  // block index, arm and slots left (u32, 12), the block-open and
+  // presolved flags (u8, 2) and the hosted model (u32, 4), 75 bytes.
+  // Everything else is the same for any E.
   constexpr std::size_t kEdges = 5;
   constexpr std::size_t kSlots = 7;
   std::vector<std::size_t> sizes;
@@ -161,7 +228,35 @@ TEST(Checkpoint, PerEdgeBytesFollowTheRecordLayout) {
     models = controller.tenant_engine(0).num_models();
   }
   ASSERT_GT(models, 0u);
-  EXPECT_EQ(sizes[1] - sizes[0], kEdges * (24 * models + 75));
+  EXPECT_EQ(sizes[1] - sizes[0], kEdges * (16 * models + 75));
+}
+
+TEST(Checkpoint, PayloadSizeIndependentOfRunLength) {
+  // The payload holds decision state only: no per-slot history. Without
+  // an observer it is the same size after 1 slot and after 1,000; with the
+  // daemon's observer it grows only until the SLO window (16 slots) fills.
+  constexpr std::size_t kSlots = 1000;
+  const std::vector<TenantSpec> specs = {make_spec("t0", 21, 5, kSlots)};
+  {
+    ServeController controller(specs, sim::SimOptions{});
+    SyntheticFeed feed(3, 77);
+    drive(controller, feed, 1);
+    const std::size_t early = controller.checkpoint_payload().size();
+    drive(controller, feed, kSlots);
+    EXPECT_EQ(controller.checkpoint_payload().size(), early);
+  }
+  {
+    ServeController controller(specs, sim::SimOptions{});
+    SyntheticFeed feed(3, 77);
+    DaemonConfig config;  // observability on, no files
+    config.slo.slot_deadline_ms = 1000000;
+    ASSERT_EQ(config.slo.window, 16u);
+    ServeDaemon daemon(controller, feed, config);
+    drive(controller, feed, 20);
+    const std::size_t early = controller.checkpoint_payload().size();
+    drive(controller, feed, kSlots);
+    EXPECT_EQ(controller.checkpoint_payload().size(), early);
+  }
 }
 
 TEST(CheckpointRoundTrip, FixedPolicyTenantRestoresBitIdentically) {
@@ -174,18 +269,98 @@ TEST(CheckpointRoundTrip, FixedPolicyTenantRestoresBitIdentically) {
   SyntheticFeed feed(2, 77);
 
   ServeController reference({spec}, sim::SimOptions{});
+  sim::SeriesRecorder reference_series(1);
+  record(reference, reference_series);
   drive(reference, feed, kHorizon);
 
   ServeController first_life({spec}, sim::SimOptions{});
+  sim::SeriesRecorder first_series(1);
+  record(first_life, first_series);
   drive(first_life, feed, kHorizon / 2);
   ServeController second_life({spec}, sim::SimOptions{});
+  sim::SeriesRecorder second_series(1);
+  record(second_life, second_series);
   second_life.restore_payload(first_life.checkpoint_payload());
   drive(second_life, feed, kHorizon);
-  expect_identical(reference, second_life);
-  const auto& counts =
-      second_life.tenant_engine(0).result().selection_counts;
+  expect_identical(reference, traces_of(reference_series), second_life,
+                   traces_of(first_series, second_series));
+  const auto counts =
+      joined(first_series.result(0), second_series.result(0))
+          .selection_counts;
   EXPECT_EQ(counts[0][1], kHorizon);
   EXPECT_EQ(counts[1][4], kHorizon);
+}
+
+TEST(CheckpointRoundTrip, RestoresAcrossObserverKinds) {
+  // The observer record is optional on both sides. A checkpoint written
+  // with no observer, or with a stateless one, restores into a daemon with
+  // observability on, whose watchdog then starts fresh; a daemon's
+  // checkpoint, watchdog state included, restores into a bare controller,
+  // which ignores that record, and into another daemon, which saves it
+  // back byte for byte. Every second life continues the uninterrupted run.
+  constexpr std::size_t kHorizon = 40;
+  constexpr std::size_t kAt = 20;
+  const std::vector<TenantSpec> specs = {make_spec("alpha", 17, 7, kHorizon),
+                                         make_spec("beta", 18, 8, kHorizon)};
+  const std::string path = temp_checkpoint_path();
+  SyntheticFeed feed(6, 1234);
+  DaemonConfig observed;  // observability on, no files
+  observed.slo.slot_deadline_ms = 1000000;
+
+  ServeController reference(specs, sim::SimOptions{});
+  sim::SeriesRecorder reference_series(2);
+  record(reference, reference_series);
+  drive(reference, feed, kHorizon);
+
+  struct Stateless final : TenantSlotObserver {
+    void on_tenant_slot(std::size_t, const sim::SlotObservation&) override {}
+  };
+  enum class Writer { kNone, kStateless, kDaemon };
+  for (const Writer kind : {Writer::kNone, Writer::kStateless,
+                            Writer::kDaemon}) {
+    ServeController first_life(specs, sim::SimOptions{});
+    sim::SeriesRecorder first_series(2);
+    Stateless stateless;
+    std::string payload;
+    if (kind == Writer::kDaemon) {
+      ServeDaemon daemon(first_life, feed, observed, &first_series);
+      drive(first_life, feed, kAt);
+      payload = first_life.checkpoint_payload();
+    } else {
+      if (kind == Writer::kStateless) first_life.set_observer(&stateless);
+      record(first_life, first_series);
+      drive(first_life, feed, kAt);
+      payload = first_life.checkpoint_payload();
+      first_life.set_observer(nullptr);
+    }
+    util::write_checkpoint_file(path, payload);
+
+    {  // Into a daemon with observability on.
+      ServeController second_life(specs, sim::SimOptions{});
+      sim::SeriesRecorder second_series(2);
+      {
+        ServeDaemon daemon(second_life, feed, observed, &second_series);
+        daemon.restore_from(path);
+        ASSERT_EQ(second_life.slot(), kAt);
+        if (kind == Writer::kDaemon) {
+          EXPECT_EQ(second_life.checkpoint_payload(), payload);
+        }
+        drive(second_life, feed, kHorizon);
+      }
+      expect_identical(reference, traces_of(reference_series), second_life,
+                       traces_of(first_series, second_series));
+    }
+    {  // Into a bare controller.
+      ServeController second_life(specs, sim::SimOptions{});
+      sim::SeriesRecorder second_series(2);
+      record(second_life, second_series);
+      second_life.restore_payload(payload);
+      drive(second_life, feed, kHorizon);
+      expect_identical(reference, traces_of(reference_series), second_life,
+                       traces_of(first_series, second_series));
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -206,21 +381,23 @@ void run_kill_restore_drill(const std::vector<TenantSpec>& specs,
 
   // Uninterrupted run.
   ServeController straight(specs, options, market);
+  sim::SeriesRecorder straight_series(specs.size());
   {
     DaemonConfig config;
     config.max_slots = kHorizon;
-    ServeDaemon daemon(straight, feed, config);
+    ServeDaemon daemon(straight, feed, config, &straight_series);
     const auto report = daemon.run();
     ASSERT_EQ(report.final_slot, kHorizon);
   }
 
   // First life: killed at slot 80 (final checkpoint at the boundary).
+  sim::SeriesRecorder first_series(specs.size());
   {
     ServeController first_life(specs, options, market);
     DaemonConfig config;
     config.checkpoint_path = path;
     config.stop_after_slots = kKillAt;
-    ServeDaemon daemon(first_life, feed, config);
+    ServeDaemon daemon(first_life, feed, config, &first_series);
     const auto report = daemon.run();
     ASSERT_EQ(report.final_slot, kKillAt);
     ASSERT_GE(report.checkpoints_written, 1u);
@@ -228,11 +405,12 @@ void run_kill_restore_drill(const std::vector<TenantSpec>& specs,
 
   // Second life: restore and finish.
   ServeController second_life(specs, options, market);
+  sim::SeriesRecorder second_series(specs.size());
   {
     DaemonConfig config;
     config.checkpoint_path = path;
     config.max_slots = kHorizon;
-    ServeDaemon daemon(second_life, feed, config);
+    ServeDaemon daemon(second_life, feed, config, &second_series);
     ASSERT_TRUE(daemon.restore_if_present());
     ASSERT_EQ(second_life.slot(), kKillAt);
     const auto report = daemon.run();
@@ -241,7 +419,8 @@ void run_kill_restore_drill(const std::vector<TenantSpec>& specs,
   }
   std::remove(path.c_str());
 
-  expect_identical(straight, second_life);
+  expect_identical(straight, traces_of(straight_series), second_life,
+                   traces_of(first_series, second_series));
 }
 
 TEST(KillRestoreDrill, SerialSingleTenant) {
@@ -276,12 +455,17 @@ TEST(KillRestoreDrill, PooledMatchesSerial) {
   const std::vector<TenantSpec> specs = {make_spec("t0", 17, 7, 48)};
   SyntheticFeed feed(3, 55);
   ServeController serial(specs, sim::SimOptions{});
+  sim::SeriesRecorder serial_series(1);
+  record(serial, serial_series);
   sim::SimOptions pooled_options;
   pooled_options.pool = &util::ThreadPool::global();
   ServeController pooled(specs, pooled_options);
+  sim::SeriesRecorder pooled_series(1);
+  record(pooled, pooled_series);
   drive(serial, feed, 48);
   drive(pooled, feed, 48);
-  expect_identical(serial, pooled);
+  expect_identical(serial, traces_of(serial_series), pooled,
+                   traces_of(pooled_series));
 }
 
 // ---------------------------------------------------------------------------
@@ -391,10 +575,14 @@ TEST_F(CheckpointRejectionTest, MismatchLeavesTheEngineUntouched) {
   ServeController rejected(changed, sim::SimOptions{});
   EXPECT_THROW(rejected.restore_payload(payload), util::StateError);
   ServeController fresh(changed, sim::SimOptions{});
+  sim::SeriesRecorder rejected_series(2), fresh_series(2);
+  record(rejected, rejected_series);
+  record(fresh, fresh_series);
   SyntheticFeed feed(6, 9);
   drive(rejected, feed, 4);
   drive(fresh, feed, 4);
-  expect_identical(fresh, rejected);
+  expect_identical(fresh, traces_of(fresh_series), rejected,
+                   traces_of(rejected_series));
 }
 
 TEST_F(CheckpointRejectionTest, RestoreRejectsFieldCorruptedPayload) {

@@ -19,6 +19,7 @@
 #include "../integration/golden_trace.h"
 #include "data/trace_io.h"
 #include "serve/controller.h"
+#include "serve/daemon.h"
 #include "serve/feed.h"
 #include "util/csv.h"
 #include "util/numio.h"
@@ -314,8 +315,62 @@ TEST(StateIoHostile, PayloadTruncatedAtEveryOffset) {
   EXPECT_EQ(controller.checkpoint_payload(), payload);
 }
 
+TEST(StateIoHostile, ObserverStateTruncatedAtEveryOffset) {
+  // With the daemon's observer attached the payload ends with the SLO
+  // watchdog's state: a payload of its own inside one str record. Cut
+  // anywhere and re-wrapped in a well-formed record, it throws (empty is
+  // valid: it means no state); whole, it restores and saves back byte for
+  // byte.
+  serve::DaemonConfig config;  // observability on, no files
+  config.slo.slot_deadline_ms = 1000000;
+  std::string payload;
+  {
+    serve::ServeController writer(hostile_specs(), sim::SimOptions{});
+    serve::SyntheticFeed feed(writer.total_edges(), 9);
+    serve::ServeDaemon daemon(writer, feed, config);
+    serve::SlotInput input;
+    while (writer.slot() < 5) {
+      EXPECT_EQ(feed.poll(writer.slot(), input), serve::FeedStatus::kReady);
+      writer.step(input.quote, input.workload);
+    }
+    payload = writer.checkpoint_payload();
+  }
+  std::size_t record_at = 0;
+  std::string state;
+  StateReader reader(payload);
+  while (!reader.at_end()) {
+    const StateRecord record = reader.next_record();
+    if (record.key != "serve.observer_state") continue;
+    // The record starts at its key-length byte.
+    record_at =
+        static_cast<std::size_t>(record.key.data() - payload.data()) - 1;
+    state = std::string(record.value);
+  }
+  ASSERT_GT(state.size(), 0u);
+  serve::ServeController controller(hostile_specs(), sim::SimOptions{});
+  serve::SyntheticFeed feed(controller.total_edges(), 9);
+  serve::ServeDaemon daemon(controller, feed, config);
+  for (std::size_t size = 1; size < state.size(); ++size) {
+    StateWriter cut;
+    cut.write_string("serve.observer_state", state.substr(0, size));
+    EXPECT_THROW(
+        controller.restore_payload(payload.substr(0, record_at) + cut.take()),
+        StateError)
+        << "state cut to " << size << " of " << state.size() << " bytes";
+  }
+  controller.restore_payload(payload);
+  EXPECT_EQ(controller.checkpoint_payload(), payload);
+}
+
 TEST(StateIoHostile, EveryRecordHeaderByteFlipped) {
-  const std::string payload = hostile_payload();
+  // The second tenant runs UCB-LY: its per-edge policies write the u64[]
+  // records an all-"Ours" payload no longer has.
+  auto specs = hostile_specs();
+  for (const auto& combo : sim::baseline_combos()) {
+    if (combo.name == "UCB-LY") specs[1].combo = combo;
+  }
+  ASSERT_EQ(specs[1].combo.name, "UCB-LY");
+  const std::string payload = hostile_payload(specs);
   // Header = key length, key, tag and (strings, vectors) the count: the
   // bytes from just before the key to the start of the value.
   std::vector<std::pair<std::size_t, std::size_t>> headers;
@@ -334,7 +389,7 @@ TEST(StateIoHostile, EveryRecordHeaderByteFlipped) {
         StateTag::kRngs}) {
     EXPECT_TRUE(tags.count(tag)) << "payload lacks tag " << int(tag);
   }
-  serve::ServeController controller(hostile_specs(), sim::SimOptions{});
+  serve::ServeController controller(specs, sim::SimOptions{});
   for (const auto& [begin, end] : headers) {
     for (std::size_t i = begin; i < end; ++i) {
       for (const unsigned char mask : {0x01, 0x80, 0xFF}) {
@@ -655,6 +710,24 @@ TEST(Checkpoint, RejectsVersionThreeCheckpoint) {
     FAIL() << "a v3 checkpoint was accepted";
   } catch (const StateError& e) {
     EXPECT_NE(std::string(e.what()).find("unsupported version v3"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Checkpoint, RejectsVersionFourCheckpoint) {
+  // A v4 envelope is intact and its checksum is the same 8-lane sum, but
+  // its engine sections carry the per-slot series and selection counts
+  // and no emission total or observer record: refused by version.
+  std::string file = encode_checkpoint("k u64 1\n");
+  const auto pos = file.find(" v" + std::to_string(kCheckpointVersion) + " ");
+  ASSERT_NE(pos, std::string::npos);
+  file.replace(pos, 3, " v4");
+  try {
+    decode_checkpoint(file);
+    FAIL() << "a v4 checkpoint was accepted";
+  } catch (const StateError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version v4"),
               std::string::npos)
         << e.what();
   }
