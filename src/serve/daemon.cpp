@@ -318,13 +318,14 @@ void ServeDaemon::restore_from(const std::string& path) {
   controller_.restore_payload(util::read_checkpoint_file(path));
 }
 
-void ServeDaemon::write_checkpoint() {
-  if (config_.checkpoint_path.empty()) return;
+bool ServeDaemon::write_checkpoint() {
+  if (config_.checkpoint_path.empty()) return false;
   util::write_checkpoint_file(config_.checkpoint_path,
                               controller_.checkpoint_payload());
   CEA_TELEM(static const obs::MetricId obs_ckpt =
                 obs::counter("serve.checkpoints");
             obs::add(obs_ckpt, 1.0););
+  return true;
 }
 
 DaemonReport ServeDaemon::run() {
@@ -392,8 +393,7 @@ DaemonReport ServeDaemon::run() {
       // seal before persisting the engine state, so a crash between the
       // two leaves a journal that is at least as long as the checkpoint.
       if (obs_ != nullptr) obs_->seal_journal();
-      write_checkpoint();
-      ++report.checkpoints_written;
+      if (write_checkpoint()) ++report.checkpoints_written;
     }
     if (config_.stop_after_slots != 0 &&
         report.slots_processed >= config_.stop_after_slots) {
@@ -401,10 +401,7 @@ DaemonReport ServeDaemon::run() {
     }
   }
   if (obs_ != nullptr) obs_->seal_journal();
-  if (!config_.checkpoint_path.empty()) {
-    write_checkpoint();
-    ++report.checkpoints_written;
-  }
+  if (write_checkpoint()) ++report.checkpoints_written;
   report.final_slot = controller_.slot();
   if (obs_ != nullptr) {
     obs_->publish_metrics(steady_ms());

@@ -109,7 +109,8 @@ class ServeDaemon {
   DaemonReport run();
 
   /// One checkpoint now (at the current slot boundary), crash-safely.
-  void write_checkpoint();
+  /// Returns false, writing nothing, when no checkpoint path is set.
+  bool write_checkpoint();
 
   /// Bound metrics endpoint port, or -1 when no endpoint is running.
   int metrics_port() const noexcept;

@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <initializer_list>
 #include <utility>
@@ -501,59 +502,116 @@ std::size_t check_envelope(std::string_view file_bytes) {
   return eol + 1;
 }
 
-/// Publish the concatenation of `parts` at `path` without building it:
-/// temp file, rename. `durable` adds the fsync of the temp file before the
-/// rename and of the directory after it (state_io.h, the two contracts).
-void publish(const std::string& path,
-             std::initializer_list<std::string_view> parts, bool durable) {
-  const std::string temp_path = path + ".tmp";
-  const int fd = ::open(temp_path.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+/// The three ways publish() puts bytes at a path (state_io.h).
+enum class Publish {
+  kAtomic,   ///< new temp file, rename; no fsync (the metrics page)
+  kDurable,  ///< new temp file, fsync, rename, directory fsync (journal)
+  kReuse,    ///< kDurable, but written into the file the previous call
+             ///< replaced, and published by exchanging names (checkpoints)
+};
+
+/// Close `fd` (when open), drop the temp name and throw errno as
+/// "<what> <subject>". `path` is left as it was, or as the name switch
+/// left it, and the next publish starts from a fresh temp file. errno is
+/// saved before the message is built, whose allocation may change it.
+[[noreturn]] void abandon(int fd, const std::string& temp_path,
+                          const char* what, const std::string& subject) {
+  const int saved = errno;
+  if (fd >= 0) ::close(fd);
+  ::unlink(temp_path.c_str());
+  throw StateError(std::string("checkpoint: ") + what + " " + subject +
+                   ": " + std::strerror(saved));
+}
+
+/// Open the temp file. With `reuse` an existing one keeps its pages (no
+/// O_TRUNC), unless another name links its inode, such as an operator's
+/// `ln` of an earlier checkpoint, or it is a symlink: another name's bytes
+/// are never overwritten, so the temp name is dropped and a fresh file
+/// created.
+int open_temp(const std::string& temp_path, bool reuse) {
+  constexpr int kFlags = O_WRONLY | O_CREAT | O_CLOEXEC;
+  if (reuse) {
+    const int fd = ::open(temp_path.c_str(), kFlags | O_NOFOLLOW, 0644);
+    struct stat info {};
+    if (fd >= 0 && ::fstat(fd, &info) == 0 && info.st_nlink == 1) return fd;
+    if (fd >= 0) ::close(fd);
+    ::unlink(temp_path.c_str());
+  }
+  const int fd = ::open(temp_path.c_str(), kFlags | O_TRUNC, 0644);
   if (fd < 0) {
     throw StateError("checkpoint: cannot open " + temp_path + ": " +
                      std::strerror(errno));
   }
+  return fd;
+}
+
+/// Publish the concatenation of `parts` at `path` without building it,
+/// through the temp file `path + ".tmp"`, as `mode` says.
+///
+/// kReuse overwrites an existing inode, and stays crash-safe because the
+/// inode at the temp name is never one that `path` may name: the previous
+/// call's exchange moved it there, and that exchange's directory fsync
+/// succeeded (a failed one drops the temp name). After a restart the names
+/// on disk are the names in memory, so the first call reuses whatever
+/// temp file it finds.
+void publish(const std::string& path,
+             std::initializer_list<std::string_view> parts, Publish mode) {
+  const bool durable = mode != Publish::kAtomic;
+  const bool reuse = mode == Publish::kReuse;
+  const std::string temp_path = path + ".tmp";
+  const int fd = open_temp(temp_path, reuse);
+  off_t offset = 0;
   for (const std::string_view bytes : parts) {
     std::size_t written = 0;
     while (written < bytes.size()) {
-      const ssize_t n =
-          ::write(fd, bytes.data() + written, bytes.size() - written);
+      const ssize_t n = ::pwrite(fd, bytes.data() + written,
+                                 bytes.size() - written, offset);
       if (n < 0) {
         if (errno == EINTR) continue;
-        const int saved = errno;
-        ::close(fd);
-        ::unlink(temp_path.c_str());
-        throw StateError("checkpoint: write failed on " + temp_path + ": " +
-                         std::strerror(saved));
+        abandon(fd, temp_path, "write failed on", temp_path);
       }
       written += static_cast<std::size_t>(n);
+      offset += n;
     }
   }
-  if (durable && ::fsync(fd) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    ::unlink(temp_path.c_str());
-    throw StateError("checkpoint: fsync failed on " + temp_path + ": " +
-                     std::strerror(saved));
+  if (reuse && ::ftruncate(fd, offset) != 0) {
+    abandon(fd, temp_path, "truncate failed on", temp_path);
   }
-  ::close(fd);
-  if (::rename(temp_path.c_str(), path.c_str()) != 0) {
-    const int saved = errno;
-    ::unlink(temp_path.c_str());
-    throw StateError("checkpoint: rename to " + path + " failed: " +
-                     std::strerror(saved));
+  if (durable && ::fsync(fd) != 0) {
+    abandon(fd, temp_path, "fsync failed on", temp_path);
+  }
+  if (::close(fd) != 0) {
+    abandon(-1, temp_path, "close failed on", temp_path);
+  }
+  // kReuse swaps the names, so the replaced file's pages become the next
+  // call's temp file. It exchanges only with a regular file: before the
+  // first publish, and with a directory or a symlink at `path` (which the
+  // exchange would move to the temp name), it renames, which frees the
+  // replaced file, as it does where the file system has no exchange
+  // (EINVAL).
+  struct stat target {};
+  const bool exchanged =
+      reuse && ::lstat(path.c_str(), &target) == 0 &&
+      S_ISREG(target.st_mode) &&
+      ::renameat2(AT_FDCWD, temp_path.c_str(), AT_FDCWD, path.c_str(),
+                  RENAME_EXCHANGE) == 0;
+  if (!exchanged && ::rename(temp_path.c_str(), path.c_str()) != 0) {
+    abandon(-1, temp_path, "cannot rename onto", path);
   }
   if (!durable) return;
-  // Persist the rename itself: fsync the containing directory.
+  // Persist the name switch itself: fsync the containing directory.
   const std::size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos
                               ? std::string(".")
                               : path.substr(0, slash == 0 ? 1 : slash);
   const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
+  if (dir_fd < 0) {
+    abandon(-1, temp_path, "cannot open directory", dir);
   }
+  if (::fsync(dir_fd) != 0) {
+    abandon(dir_fd, temp_path, "fsync failed on directory", dir);
+  }
+  ::close(dir_fd);
 }
 
 }  // namespace
@@ -610,16 +668,16 @@ std::string decode_checkpoint(std::string file_bytes) {
 }
 
 void write_file_durable(const std::string& path, std::string_view bytes) {
-  publish(path, {bytes}, true);
+  publish(path, {bytes}, Publish::kDurable);
 }
 
 void write_file_atomic(const std::string& path, std::string_view bytes) {
-  publish(path, {bytes}, false);
+  publish(path, {bytes}, Publish::kAtomic);
 }
 
 void write_checkpoint_file(const std::string& path,
                            std::string_view payload) {
-  publish(path, {envelope_header(payload), payload}, true);
+  publish(path, {envelope_header(payload), payload}, Publish::kReuse);
 }
 
 std::string read_file_bytes(const std::string& path) {

@@ -27,12 +27,16 @@
 // checksum (checkpoint_checksum) catches in-place corruption, and the
 // version gate refuses formats this build does not understand.
 //
-// Two publication contracts, both temp file in the same directory, then
-// an atomic rename over the target, so a reader never sees a torn file:
+// Two publication contracts, both temp file `<path>.tmp` in the same
+// directory, then an atomic name switch onto the target, so a reader
+// never sees a torn file:
 // - durable (write_checkpoint_file, write_file_durable): fsync the temp
-//   file before the rename and the directory after it, so a crash or a
+//   file before the switch and the directory after it, so a crash or a
 //   power cut at any instant leaves the previous complete file or the new
 //   one. Checkpoints and journal segments are records; they use this.
+//   Checkpoints reuse pages: the switch exchanges the two names, and the
+//   next checkpoint is written into the file the exchange moved to
+//   `<path>.tmp` (DESIGN.md §11).
 // - atomic only (write_file_atomic): no fsync. A killed process still
 //   leaves the previous file or the new one, but after a power cut the
 //   target may be either version or empty. The metrics page is rewritten
@@ -211,15 +215,27 @@ std::string encode_checkpoint(std::string_view payload);
 /// moved-in file is not copied. Throws StateError naming the failure.
 std::string decode_checkpoint(std::string file_bytes);
 
-/// Durable checkpoint write: envelope header and payload into
-/// `path + ".tmp"`, fsync, rename over `path`, fsync the directory. Throws
-/// StateError on any I/O failure.
+/// Durable checkpoint write into the pages of the file the previous call
+/// replaced: open `path + ".tmp"` without truncating it, pwrite the
+/// envelope header and the payload from offset 0, truncate to their
+/// length, fsync, exchange the names of the temp file and `path`
+/// (renameat2 RENAME_EXCHANGE), fsync the directory. The temp file thus
+/// persists between calls, holding the previous checkpoint. The switch is
+/// a rename before the first checkpoint, when `path` is not a regular
+/// file, and where the file system has no exchange; a temp file that is a
+/// symlink, or that another name also links, is replaced by a fresh one,
+/// never written through. A reader that keeps `path` open across
+/// two calls can see its bytes overwritten: read_checkpoint_file then
+/// reports a checksum mismatch. Throws StateError when any step fails,
+/// the close and the directory fsync included, after dropping the temp
+/// name so that a retry starts from a fresh file.
 void write_checkpoint_file(const std::string& path, std::string_view payload);
 
-/// Durable raw file publication: the temp + fsync + rename + directory
-/// fsync discipline of write_checkpoint_file, without the envelope. The
-/// decision journal's segment writer uses it (obs/journal.h). Throws
-/// StateError on any I/O failure.
+/// Durable raw file publication without the envelope: a new temp file,
+/// fsync, rename over `path`, directory fsync. No pages are reused (each
+/// journal segment has a new name). The decision journal's segment writer
+/// uses it (obs/journal.h). Throws StateError when any step fails, the
+/// close and the directory fsync included.
 void write_file_durable(const std::string& path, std::string_view bytes);
 
 /// Atomic-only publication: temp file, then rename over `path`, with no

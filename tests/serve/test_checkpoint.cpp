@@ -135,6 +135,12 @@ std::string temp_checkpoint_path() {
          ::testing::UnitTest::GetInstance()->current_test_info()->name();
 }
 
+/// Remove a checkpoint and the temp file its writer keeps beside it.
+void remove_checkpoint(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Streaming == batch: a daemon replaying the environment's own traces
 // reproduces Simulator::run (via run_combo) bit for bit.
@@ -360,7 +366,7 @@ TEST(CheckpointRoundTrip, RestoresAcrossObserverKinds) {
                        traces_of(first_series, second_series));
     }
   }
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 // ---------------------------------------------------------------------------
@@ -375,7 +381,7 @@ void run_kill_restore_drill(const std::vector<TenantSpec>& specs,
   constexpr std::size_t kHorizon = 160;
   constexpr std::size_t kKillAt = 80;
   const std::string path = temp_checkpoint_path();
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 
   SyntheticFeed feed(total_edges, 1234);
 
@@ -417,7 +423,7 @@ void run_kill_restore_drill(const std::vector<TenantSpec>& specs,
     ASSERT_EQ(report.final_slot, kHorizon);
     ASSERT_EQ(report.slots_processed, kHorizon - kKillAt);
   }
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 
   expect_identical(straight, traces_of(straight_series), second_life,
                    traces_of(first_series, second_series));
@@ -477,9 +483,9 @@ class CheckpointRejectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = temp_checkpoint_path();
-    std::remove(path_.c_str());
+    remove_checkpoint(path_);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { remove_checkpoint(path_); }
 
   // A 2-tenant controller advanced a few slots, checkpointed to path_.
   std::vector<TenantSpec> specs() const {
@@ -671,7 +677,7 @@ TEST_F(CheckpointRejectionTest, RestoreIfPresentIsFalseWithoutAFile) {
 
 TEST(ServeDaemon, WritesPeriodicAndFinalCheckpoints) {
   const std::string path = temp_checkpoint_path();
-  std::remove(path.c_str());
+  remove_checkpoint(path);
   ServeController controller({make_spec("t0", 17, 7, 32)}, sim::SimOptions{});
   SyntheticFeed feed(3, 3);
   DaemonConfig config;
@@ -687,7 +693,19 @@ TEST(ServeDaemon, WritesPeriodicAndFinalCheckpoints) {
   ServeController restored({make_spec("t0", 17, 7, 32)}, sim::SimOptions{});
   restored.restore_payload(util::read_checkpoint_file(path));
   EXPECT_EQ(restored.slot(), 32u);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
+}
+
+TEST(ServeDaemon, CountsOnlyCheckpointsItWrites) {
+  ServeController controller({make_spec("t0", 17, 7, 32)}, sim::SimOptions{});
+  SyntheticFeed feed(3, 3);
+  DaemonConfig config;  // no checkpoint path: every boundary writes nothing
+  config.checkpoint_every = 8;
+  config.max_slots = 32;
+  ServeDaemon daemon(controller, feed, config);
+  const auto report = daemon.run();
+  EXPECT_EQ(report.slots_processed, 32u);
+  EXPECT_EQ(report.checkpoints_written, 0u);
 }
 
 TEST(ServeDaemon, StopsWhenFeedStaysPending) {

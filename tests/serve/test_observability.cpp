@@ -218,6 +218,7 @@ TEST(DecisionJournal, KillRestoreRunRebuildsTheUninterruptedJournal) {
     ASSERT_EQ(daemon.run().final_slot, 32u);
   }
   std::remove(ckpt.c_str());
+  std::remove((ckpt + ".tmp").c_str());
 
   const auto straight = obs::read_journal_lines(straight_dir);
   const auto revived = obs::read_journal_lines(revived_dir);
@@ -351,6 +352,7 @@ TEST(MetricsExposition, RestoredPageMatchesTheUninterruptedPage) {
     EXPECT_EQ(line.find("NaN"), std::string::npos) << line;
   }
   std::remove(ckpt.c_str());
+  std::remove((ckpt + ".tmp").c_str());
   std::remove(first_page.c_str());
   std::remove(restored_page.c_str());
 }

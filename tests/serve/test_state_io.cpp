@@ -1,5 +1,9 @@
 #include "util/state_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -772,6 +776,32 @@ class CheckpointFileTest : public ::testing::Test {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
   }
+  /// `size` bytes, different for each `seed`.
+  static std::string payload(std::size_t size, char seed) {
+    std::string bytes(size, seed);
+    for (std::size_t i = 0; i < size; i += 7) bytes[i] = static_cast<char>(i);
+    return bytes;
+  }
+  static void put_file(const std::string& path, std::string_view bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  static bool exists(const std::string& path) {
+    struct stat info {};
+    return ::stat(path.c_str(), &info) == 0;
+  }
+  /// Whether the file system under test exchanges names (renameat2 with
+  /// RENAME_EXCHANGE); the checkpoint writer renames where it does not.
+  bool exchange_supported() const {
+    const std::string a = path_ + ".probe_a", b = path_ + ".probe_b";
+    put_file(a, "a");
+    put_file(b, "b");
+    const bool supported = ::renameat2(AT_FDCWD, a.c_str(), AT_FDCWD,
+                                       b.c_str(), RENAME_EXCHANGE) == 0;
+    std::remove(a.c_str());
+    std::remove(b.c_str());
+    return supported;
+  }
   std::string path_;
 };
 
@@ -779,9 +809,97 @@ TEST_F(CheckpointFileTest, WriteReadRoundTrip) {
   const std::string payload = "engine.slot u64 80\n";
   write_checkpoint_file(path_, payload);
   EXPECT_EQ(read_checkpoint_file(path_), payload);
-  // No temp file is left behind after a successful atomic publish.
+  // A first write has no checkpoint to exchange names with: it renames,
+  // and leaves no temp file behind.
   std::ifstream tmp(path_ + ".tmp");
   EXPECT_FALSE(tmp.good());
+}
+
+TEST_F(CheckpointFileTest, AlternatingSizesReadBackExactly) {
+  // Each write reuses the pages of the checkpoint before the last one, so
+  // a shorter checkpoint must not keep a longer one's tail.
+  const std::pair<std::size_t, char> writes[] = {
+      {300'000, 'a'}, {20, 'b'}, {100'000, 'c'}, {300'000, 'd'}};
+  for (const auto& [size, seed] : writes) {
+    const std::string bytes = payload(size, seed);
+    write_checkpoint_file(path_, bytes);
+    EXPECT_EQ(read_checkpoint_file(path_), bytes) << size << " bytes";
+  }
+}
+
+TEST_F(CheckpointFileTest, TornTempFileLeavesThePreviousCheckpoint) {
+  // A crash in the middle of an overwrite leaves a torn temp file, longer
+  // than the next checkpoint. The names never switched, so the checkpoint
+  // is the previous one, and the next write replaces every temp byte.
+  const std::string first = payload(1'000, 'a');
+  write_checkpoint_file(path_, first);
+  put_file(path_ + ".tmp", std::string(50'000, '\xee'));
+  EXPECT_EQ(read_checkpoint_file(path_), first);
+  const std::string second = payload(2'000, 'b');
+  write_checkpoint_file(path_, second);
+  EXPECT_EQ(read_checkpoint_file(path_), second);
+}
+
+TEST_F(CheckpointFileTest, StaleTempWithoutCheckpointIsRenamed) {
+  // A crash before the first name switch leaves a temp file and no
+  // checkpoint. With nothing to exchange with, the write renames.
+  put_file(path_ + ".tmp", std::string(50'000, '\xee'));
+  const std::string bytes = payload(1'000, 'a');
+  write_checkpoint_file(path_, bytes);
+  EXPECT_EQ(read_checkpoint_file(path_), bytes);
+  EXPECT_FALSE(exists(path_ + ".tmp"));
+}
+
+TEST_F(CheckpointFileTest, HardLinkedTempIsNeverOverwritten) {
+  // Another name for the temp file's inode, such as an operator's `ln` of
+  // an earlier checkpoint, keeps its bytes: the writer starts a new file.
+  const std::string other = path_ + ".backup";
+  write_checkpoint_file(path_, payload(1'000, 'a'));
+  const std::string held = encode_checkpoint(payload(3'000, 'h'));
+  put_file(path_ + ".tmp", held);
+  ASSERT_EQ(::link((path_ + ".tmp").c_str(), other.c_str()), 0);
+  const std::string next = payload(2'000, 'b');
+  write_checkpoint_file(path_, next);
+  EXPECT_EQ(read_checkpoint_file(path_), next);
+  EXPECT_EQ(read_file_bytes(other), held);
+  std::remove(other.c_str());
+}
+
+TEST_F(CheckpointFileTest, SymlinkedTempIsNeverWrittenThrough) {
+  const std::string other = path_ + ".target";
+  write_checkpoint_file(path_, payload(1'000, 'a'));
+  put_file(other, "not a checkpoint");
+  ASSERT_EQ(::symlink(other.c_str(), (path_ + ".tmp").c_str()), 0);
+  const std::string next = payload(2'000, 'b');
+  write_checkpoint_file(path_, next);
+  EXPECT_EQ(read_checkpoint_file(path_), next);
+  EXPECT_EQ(read_file_bytes(other), "not a checkpoint");
+  std::remove(other.c_str());
+}
+
+TEST_F(CheckpointFileTest, DirectoryAtCheckpointPathIsNeverMoved) {
+  // Only a regular file is exchanged: a directory at the checkpoint path
+  // refuses the write, as a rename over it does, and stays where it is.
+  ASSERT_EQ(::mkdir(path_.c_str(), 0755), 0);
+  EXPECT_THROW(write_checkpoint_file(path_, payload(1'000, 'a')),
+               StateError);
+  struct stat info {};
+  EXPECT_TRUE(::stat(path_.c_str(), &info) == 0 && S_ISDIR(info.st_mode));
+  EXPECT_FALSE(exists(path_ + ".tmp"));
+  ::rmdir(path_.c_str());
+}
+
+TEST_F(CheckpointFileTest, TempHoldsThePreviousCheckpointAfterAnExchange) {
+  // The name switch is an exchange, not a rename that frees the replaced
+  // file: after a second write the temp name holds the first checkpoint.
+  if (!exchange_supported()) {
+    GTEST_SKIP() << "the file system under " << ::testing::TempDir()
+                 << " refuses RENAME_EXCHANGE; the writer renames there";
+  }
+  const std::string first = payload(1'000, 'a');
+  write_checkpoint_file(path_, first);
+  write_checkpoint_file(path_, payload(2'000, 'b'));
+  EXPECT_EQ(decode_checkpoint(read_file_bytes(path_ + ".tmp")), first);
 }
 
 TEST_F(CheckpointFileTest, OverwriteReplacesAtomically) {
