@@ -14,7 +14,7 @@ namespace cea::serve {
 ServeController::ServeController(const std::vector<TenantSpec>& tenants,
                                  const sim::SimOptions& options,
                                  MarketRule market)
-    : market_(market) {
+    : market_(market), pool_(options.pool) {
   if (tenants.empty()) {
     throw std::invalid_argument("ServeController: no tenants");
   }

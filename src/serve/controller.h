@@ -81,6 +81,9 @@ class ServeController {
   const sim::Environment& tenant_env(std::size_t i) const {
     return *tenants_[i].env;
   }
+  /// The pool the engines fan out on (SimOptions::pool), or nullptr when
+  /// they run serially. Idle between step() calls.
+  util::ThreadPool* pool() const noexcept { return pool_; }
 
   /// Advance every tenant one slot. `workload_all` is the concatenation of
   /// per-tenant per-edge counts in tenant order (total_edges() wide). Each
@@ -123,6 +126,7 @@ class ServeController {
   std::vector<Tenant> tenants_;
   std::size_t total_edges_ = 0;
   MarketRule market_;
+  util::ThreadPool* pool_ = nullptr;
   TenantSlotObserver* observer_ = nullptr;
   /// Size of the last checkpoint_payload(): the next one's buffer hint.
   mutable std::size_t checkpoint_bytes_ = 0;

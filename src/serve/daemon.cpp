@@ -13,6 +13,7 @@
 #include "obs/telemetry.h"
 #include "serve/metrics_server.h"
 #include "util/state_io.h"
+#include "util/thread_pool.h"
 
 namespace cea::serve {
 namespace {
@@ -164,18 +165,19 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
     if (journal != nullptr) journal->seal();
   }
 
-  /// Render the Prometheus page and push it to every configured sink.
-  /// Caller guarantees pool quiescence (slot boundary).
-  void publish_metrics(std::int64_t now_ms) {
-    if (config.metrics_path.empty() && server == nullptr) return;
-    const std::string text = render_metrics(now_ms);
-    if (!config.metrics_path.empty()) {
-      util::write_file_atomic(config.metrics_path, text);
-    }
-    if (server != nullptr) server->publish(text);
+  bool metrics_enabled() const {
+    return !config.metrics_path.empty() || server != nullptr;
   }
 
-  std::string render_metrics(std::int64_t now_ms) {
+  /// What the metrics page shows at one slot boundary: the registry
+  /// snapshot and the serving samples.
+  obs::Snapshot page_snapshot;
+  std::vector<obs::PromSample> page_samples;
+
+  /// Fill the page's contents from the engines, the watchdog, the journal
+  /// and the registry. Caller guarantees pool quiescence (slot boundary),
+  /// the point obs/telemetry.h requires for a snapshot.
+  void collect_metrics(std::int64_t now_ms) {
     const std::size_t slots_done = controller.slot();
     std::vector<obs::PromSample> extra;
     // Per-tenant series, one loop per metric name so consecutive samples
@@ -248,9 +250,9 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
                        static_cast<double>(journal->segments_sealed()),
                        "gauge"});
     }
-    const obs::Snapshot snap = obs::snapshot();
+    page_snapshot = obs::snapshot();
     // Slot wall-time quantiles out of the existing span histogram.
-    for (const obs::HistogramValue& histogram : snap.histograms) {
+    for (const obs::HistogramValue& histogram : page_snapshot.histograms) {
       if (histogram.name != "serve.slot") continue;
       extra.push_back({"slot_wall_ns",
                        {{"quantile", "0.5"}},
@@ -261,7 +263,19 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
                        obs::histogram_quantile(histogram, 0.99),
                        "gauge"});
     }
-    return obs::prometheus_text(snap, extra);
+    page_samples = std::move(extra);
+  }
+
+  /// Render the page collect_metrics gathered and push it to every
+  /// configured sink. Reads nothing else of the daemon's, so it can run on
+  /// a pool worker beside the checkpoint task.
+  void publish_metrics() {
+    const std::string text =
+        obs::prometheus_text(page_snapshot, page_samples);
+    if (!config.metrics_path.empty()) {
+      util::write_file_atomic(config.metrics_path, text);
+    }
+    if (server != nullptr) server->publish(text);
   }
 };
 
@@ -276,6 +290,13 @@ ServeDaemon::ServeDaemon(ServeController& controller, FeedSource& feed,
         "ServeDaemon: feed supplies " + std::to_string(feed_.num_edges()) +
         " edges, controller needs " +
         std::to_string(controller_.total_edges()));
+  }
+  // The two are written side by side at each slot boundary.
+  if (!config_.checkpoint_path.empty() &&
+      config_.checkpoint_path == config_.metrics_path) {
+    throw std::invalid_argument(
+        "ServeDaemon: the checkpoint and the metrics page share the path " +
+        config_.checkpoint_path);
   }
   const bool observability = !config_.journal_dir.empty() ||
                              !config_.metrics_path.empty() ||
@@ -328,6 +349,29 @@ bool ServeDaemon::write_checkpoint() {
   return true;
 }
 
+bool ServeDaemon::publish_outputs(bool checkpoint_due, bool metrics_due) {
+  const bool checkpoint = checkpoint_due && !config_.checkpoint_path.empty();
+  const bool page =
+      metrics_due && obs_ != nullptr && obs_->metrics_enabled();
+  if (page) obs_->collect_metrics(steady_ms());
+  // The checkpoint is index 0: the caller claims the first index, so it
+  // writes the longer task while a worker publishes the page.
+  const auto task = [&](std::size_t index) {
+    if (checkpoint && index == 0) {
+      write_checkpoint();
+    } else {
+      obs_->publish_metrics();
+    }
+  };
+  const std::size_t tasks = std::size_t{checkpoint} + std::size_t{page};
+  if (util::ThreadPool* pool = controller_.pool(); pool != nullptr) {
+    pool->parallel_for(tasks, task);
+  } else {
+    for (std::size_t index = 0; index < tasks; ++index) task(index);
+  }
+  return checkpoint;
+}
+
 DaemonReport ServeDaemon::run() {
   DaemonReport report;
   std::size_t pending_streak = 0;
@@ -377,23 +421,20 @@ DaemonReport ServeDaemon::run() {
     CEA_TELEM(static const obs::MetricId obs_slots =
                   obs::counter("serve.slots");
               obs::add(obs_slots, 1.0););
+    const std::size_t done = controller_.slot();
+    const bool checkpoint_due =
+        config_.checkpoint_every != 0 && done % config_.checkpoint_every == 0;
     if (obs_ != nullptr) {
       obs_->watchdog.observe_slot_wall(t, steady_ms() - wall_start_ms);
       obs_->record_alerts(obs_->watchdog.drain());
-      const std::size_t done = controller_.slot();
-      if (done % journal_every == 0) obs_->seal_journal();
-      if (done % metrics_every == 0) obs_->publish_metrics(steady_ms());
+      // The journal must cover everything the checkpoint claims happened:
+      // seal before the checkpoint task starts, so a crash between the
+      // two leaves a journal that is at least as long as the checkpoint.
+      if (checkpoint_due || done % journal_every == 0) obs_->seal_journal();
     }
     sleep_ms(config_.slot_delay_ms);
-    const bool boundary =
-        config_.checkpoint_every != 0 &&
-        controller_.slot() % config_.checkpoint_every == 0;
-    if (boundary) {
-      // The journal must cover everything the checkpoint claims happened:
-      // seal before persisting the engine state, so a crash between the
-      // two leaves a journal that is at least as long as the checkpoint.
-      if (obs_ != nullptr) obs_->seal_journal();
-      if (write_checkpoint()) ++report.checkpoints_written;
+    if (publish_outputs(checkpoint_due, done % metrics_every == 0)) {
+      ++report.checkpoints_written;
     }
     if (config_.stop_after_slots != 0 &&
         report.slots_processed >= config_.stop_after_slots) {
@@ -401,10 +442,9 @@ DaemonReport ServeDaemon::run() {
     }
   }
   if (obs_ != nullptr) obs_->seal_journal();
-  if (write_checkpoint()) ++report.checkpoints_written;
+  if (publish_outputs(true, true)) ++report.checkpoints_written;
   report.final_slot = controller_.slot();
   if (obs_ != nullptr) {
-    obs_->publish_metrics(steady_ms());
     report.alerts = obs_->watchdog.counts();
     report.alerts_total = obs_->watchdog.total();
     if (obs_->journal != nullptr) {

@@ -105,7 +105,11 @@ class ServeDaemon {
   /// Drive the controller until the feed ends, max_slots/stop_after_slots
   /// is reached, or the feed stays pending past max_pending_polls. Writes
   /// the periodic checkpoints and, when checkpointing is configured, a
-  /// final checkpoint at the stopping boundary.
+  /// final checkpoint at the stopping boundary. A slot's checkpoint and
+  /// metrics page are written side by side on the controller's pool, after
+  /// its journal seal and before the next poll (DESIGN.md §11 "Slot
+  /// tail"). A failed write ends the run with its exception
+  /// (util::StateError for the checkpoint).
   DaemonReport run();
 
   /// One checkpoint now (at the current slot boundary), crash-safely.
@@ -122,6 +126,11 @@ class ServeDaemon {
   sim::SeriesRecorder* series_ = nullptr;
   struct Obs;  // journal writer + watchdog + metrics sinks (daemon.cpp)
   std::unique_ptr<Obs> obs_;
+
+  /// The slot tail's two tasks: write the checkpoint (when due and a path
+  /// is set) and publish the metrics page (when due and a sink is set).
+  /// Returns whether a checkpoint was written.
+  bool publish_outputs(bool checkpoint_due, bool metrics_due);
 };
 
 }  // namespace cea::serve

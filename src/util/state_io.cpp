@@ -525,19 +525,26 @@ enum class Publish {
 
 /// Open the temp file. With `reuse` an existing one keeps its pages (no
 /// O_TRUNC), unless another name links its inode, such as an operator's
-/// `ln` of an earlier checkpoint, or it is a symlink: another name's bytes
-/// are never overwritten, so the temp name is dropped and a fresh file
-/// created.
+/// `ln` of an earlier checkpoint, or it is a symlink. Otherwise the file is
+/// created exclusively (O_EXCL, which also refuses a symlink), and a stale
+/// name left there is dropped first: another name's bytes are never
+/// overwritten.
 int open_temp(const std::string& temp_path, bool reuse) {
-  constexpr int kFlags = O_WRONLY | O_CREAT | O_CLOEXEC;
   if (reuse) {
-    const int fd = ::open(temp_path.c_str(), kFlags | O_NOFOLLOW, 0644);
+    const int fd = ::open(temp_path.c_str(),
+                          O_WRONLY | O_CREAT | O_NOFOLLOW | O_CLOEXEC, 0644);
     struct stat info {};
     if (fd >= 0 && ::fstat(fd, &info) == 0 && info.st_nlink == 1) return fd;
     if (fd >= 0) ::close(fd);
     ::unlink(temp_path.c_str());
   }
-  const int fd = ::open(temp_path.c_str(), kFlags | O_TRUNC, 0644);
+  constexpr int kCreate =
+      O_WRONLY | O_CREAT | O_EXCL | O_NOFOLLOW | O_CLOEXEC;
+  int fd = ::open(temp_path.c_str(), kCreate, 0644);
+  if (fd < 0 && errno == EEXIST) {
+    ::unlink(temp_path.c_str());
+    fd = ::open(temp_path.c_str(), kCreate, 0644);
+  }
   if (fd < 0) {
     throw StateError("checkpoint: cannot open " + temp_path + ": " +
                      std::strerror(errno));

@@ -233,16 +233,20 @@ void write_checkpoint_file(const std::string& path, std::string_view payload);
 
 /// Durable raw file publication without the envelope: a new temp file,
 /// fsync, rename over `path`, directory fsync. No pages are reused (each
-/// journal segment has a new name). The decision journal's segment writer
-/// uses it (obs/journal.h). Throws StateError when any step fails, the
-/// close and the directory fsync included.
+/// journal segment has a new name). The temp file is created exclusively:
+/// whatever a stale `path + ".tmp"` is, a symlink or a file another name
+/// also links, its name is dropped and never written through. The
+/// decision journal's segment writer uses it (obs/journal.h). Throws
+/// StateError when any step fails, the close and the directory fsync
+/// included.
 void write_file_durable(const std::string& path, std::string_view bytes);
 
 /// Atomic-only publication: temp file, then rename over `path`, with no
 /// fsync. Readers see the previous complete file or the new one, but the
 /// new one may not survive a power cut. For files rewritten every slot
 /// whose loss costs nothing, such as the metrics page (serve/daemon.h).
-/// Throws StateError on any I/O failure.
+/// The temp file is created as write_file_durable creates it. Throws
+/// StateError on any I/O failure.
 void write_file_atomic(const std::string& path, std::string_view bytes);
 
 /// Slurp a file's bytes; throws StateError when it cannot be opened/read.

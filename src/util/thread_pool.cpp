@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "obs/telemetry.h"
 
@@ -57,7 +58,11 @@ void ThreadPool::run_job_slice(std::uint64_t epoch_tag) {
                                       std::memory_order_acquire)) {
       continue;  // lost the race; cur was reloaded
     }
-    (*fn)(index);
+    try {
+      (*fn)(index);
+    } catch (...) {
+      record_failure(index, std::current_exception());
+    }
     if (job_done_.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
       // Lock so the notify cannot slip between the waiter's predicate
       // check and its sleep.
@@ -66,6 +71,23 @@ void ThreadPool::run_job_slice(std::uint64_t epoch_tag) {
     }
     cur = claim_.load(std::memory_order_acquire);
   }
+}
+
+void ThreadPool::record_failure(std::size_t index, std::exception_ptr error) {
+  std::lock_guard<std::mutex> lock(error_mutex_);
+  if (job_error_ == nullptr || index < job_error_index_) {
+    job_error_ = std::move(error);
+    job_error_index_ = index;
+  }
+}
+
+void ThreadPool::rethrow_failure() {
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lock(error_mutex_);
+    error = std::exchange(job_error_, nullptr);
+  }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop() {
@@ -159,18 +181,19 @@ void ThreadPool::parallel_for(std::size_t n,
 
   // The caller usually drains the job itself (always on a single-core
   // host); spin briefly before paying for a futex sleep.
-  for (int spin = 0; spin < kCallerSpinYields; ++spin) {
-    if (job_done_.load(std::memory_order_acquire) == n) {
-      job_fn_.store(nullptr, std::memory_order_relaxed);
-      return;
-    }
-    std::this_thread::yield();
+  bool done = false;
+  for (int spin = 0; spin < kCallerSpinYields && !done; ++spin) {
+    done = job_done_.load(std::memory_order_acquire) == n;
+    if (!done) std::this_thread::yield();
   }
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] {
-    return job_done_.load(std::memory_order_acquire) == n;
-  });
+  if (!done) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [&] {
+      return job_done_.load(std::memory_order_acquire) == n;
+    });
+  }
   job_fn_.store(nullptr, std::memory_order_relaxed);
+  rethrow_failure();
 }
 
 void ThreadPool::parallel_for_blocked(

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -26,6 +27,12 @@ namespace cea::util {
 /// executes inline on that thread instead of deadlocking on the pool. This
 /// lets e.g. a parallel multi-run driver own simulators that are themselves
 /// pool-parallel without either layer knowing about the other.
+///
+/// A task may throw, on a worker or on the caller. The exception of the
+/// lowest index that threw is rethrown on the caller once the job has
+/// finished; indices above it may or may not have run (a fanned-out job
+/// runs them all, an inline one stops at the first failure). Either way the
+/// pool stays usable and the caller's next job fans out as before.
 class ThreadPool {
  public:
   /// Spawns `threads` workers; 0 means std::thread::hardware_concurrency().
@@ -77,6 +84,14 @@ class ThreadPool {
 
   void worker_loop();
   void run_job_slice(std::uint64_t epoch_tag);
+  /// Keep `error` when `index` is the job's lowest failing index so far.
+  void record_failure(std::size_t index, std::exception_ptr error);
+  /// After the job's last index: rethrow its recorded failure, if any.
+  void rethrow_failure();
+
+  std::mutex error_mutex_;
+  std::exception_ptr job_error_;  ///< lowest failing index's (error_mutex_)
+  std::size_t job_error_index_ = 0;  ///< (error_mutex_)
 
   std::mutex mutex_;
   std::condition_variable wake_cv_;  ///< workers wait for a new job epoch

@@ -6,8 +6,10 @@
 # directory; the hex-float trace journal_query rebuilds from it must equal
 # the uninterrupted run's --trace-out byte for byte. (--trace-out covers
 # only the slots its own process ran, and the journal carries every
-# per-slot value.) The binary checkpoint must print as text, and a restore
-# into a different horizon must be refused with exit code 2.
+# per-slot value.) The stopped life writes a checkpoint and the metrics
+# page every slot, so both tasks of the slot tail run at every boundary.
+# The binary checkpoint must print as text, and a restore into a different
+# horizon must be refused with exit code 2.
 #
 #   kill_restore_test.sh SERVE_DAEMON JOURNAL_QUERY WORK_DIR
 set -eu
@@ -26,10 +28,12 @@ journaled() {
   test "$status" -eq 0 || test "$status" -eq 3
 }
 for mode in "" "--pooled"; do
-  rm -rf ck.bin ck.txt full.csv resumed.csv journal
+  rm -rf ck.bin ck.bin.tmp ck.txt m.prom full.csv resumed.csv journal
   mkdir journal
   "$daemon" $flags $mode --trace-out full.csv > /dev/null
-  journaled $flags $mode --checkpoint ck.bin --stop-after 80 --journal journal
+  journaled $flags $mode --checkpoint ck.bin --checkpoint-every 1 \
+    --metrics-out m.prom --stop-after 80 --journal journal
+  test -s m.prom
   "$query" --dump-checkpoint ck.bin > ck.txt
   test "$(grep -cx 'engine.slot u64 1 80' ck.txt)" -eq 2
   # The checkpoint belongs to a 160-slot horizon: restoring it into a

@@ -12,10 +12,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../integration/golden_trace.h"
 #include "bandit/fleet_policy.h"
+#include "obs/journal.h"
+#include "obs/prom.h"
 #include "serve/controller.h"
 #include "serve/daemon.h"
 #include "serve/feed.h"
@@ -708,6 +711,146 @@ TEST(ServeDaemon, CountsOnlyCheckpointsItWrites) {
   EXPECT_EQ(report.checkpoints_written, 0u);
 }
 
+/// What a daemon has published at one slot boundary.
+struct Published {
+  std::string checkpoint;             ///< the checkpoint file's bytes
+  std::vector<std::string> segments;  ///< every journal segment, in order
+  std::string tenant_lines;           ///< the page's cea_tenant_* lines
+};
+
+/// Remove a journal directory, segments first (a failed run may have
+/// left one behind).
+void remove_journal(const std::string& dir) {
+  for (std::size_t i = 0; i < 64; ++i) {
+    std::remove(obs::segment_path(dir, i).c_str());
+  }
+  ::rmdir(dir.c_str());
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// A SyntheticFeed that reads what the daemon has published each time it
+/// is asked for the next slot.
+class PublicationProbe final : public FeedSource {
+ public:
+  PublicationProbe(std::size_t edges, std::string checkpoint,
+                   std::string journal, std::string page)
+      : feed_(edges, 91),
+        checkpoint_(std::move(checkpoint)),
+        journal_(std::move(journal)),
+        page_(std::move(page)) {}
+
+  FeedStatus poll(std::size_t t, SlotInput& out) override {
+    if (t == boundaries.size() + 1) boundaries.push_back(read());
+    return feed_.poll(t, out);
+  }
+  std::size_t num_edges() const noexcept override {
+    return feed_.num_edges();
+  }
+  std::string name() const override { return "probe"; }
+
+  Published read() const {
+    Published published;
+    published.checkpoint = file_bytes(checkpoint_);
+    for (std::size_t i = 0;; ++i) {
+      const std::string segment = obs::segment_path(journal_, i);
+      struct stat info {};
+      if (::stat(segment.c_str(), &info) != 0) break;
+      published.segments.push_back(file_bytes(segment));
+    }
+    std::istringstream page(file_bytes(page_));
+    for (std::string line; std::getline(page, line);) {
+      if (line.rfind("cea_tenant_", 0) == 0) {
+        published.tenant_lines += line + '\n';
+      }
+    }
+    return published;
+  }
+
+  std::vector<Published> boundaries;  ///< boundaries[i]: slot i + 1's
+
+ private:
+  SyntheticFeed feed_;
+  std::string checkpoint_, journal_, page_;
+};
+
+// The slot tail writes the checkpoint and the metrics page side by side on
+// the controller's pool. What a daemon publishes must not depend on that:
+// at every boundary, before it asks for the next slot, a pooled daemon has
+// published what a serial one has, and each checkpoint restores.
+TEST(ServeDaemon, PooledTailPublishesWhatTheSerialTailPublishes) {
+  constexpr std::size_t kSlots = 24;
+  const std::vector<TenantSpec> specs = {make_spec("alpha", 17, 7, kSlots),
+                                         make_spec("beta", 18, 8, kSlots)};
+  const MarketRule market{2.0};
+  util::ThreadPool pool(3);
+  std::vector<Published> runs[2];
+  for (const bool pooled : {false, true}) {
+    const std::string base =
+        temp_checkpoint_path() + (pooled ? "_pooled" : "_serial");
+    DaemonConfig config;
+    config.checkpoint_path = base + ".ckpt";
+    config.checkpoint_every = 1;
+    config.journal_dir = base + "_journal";
+    config.metrics_path = base + ".prom";
+    remove_journal(config.journal_dir);
+    ASSERT_EQ(::mkdir(config.journal_dir.c_str(), 0755), 0);
+    config.max_slots = kSlots;
+    sim::SimOptions options;
+    options.pool = pooled ? &pool : nullptr;
+    ServeController controller(specs, options, market);
+    PublicationProbe probe(6, config.checkpoint_path, config.journal_dir,
+                           config.metrics_path);
+    ServeDaemon daemon(controller, probe, config);
+    ASSERT_EQ(daemon.run().final_slot, kSlots);
+    probe.boundaries.push_back(probe.read());  // the last slot's
+    runs[pooled] = std::move(probe.boundaries);
+    remove_checkpoint(config.checkpoint_path);
+    std::remove(config.metrics_path.c_str());
+    remove_journal(config.journal_dir);
+  }
+
+  ASSERT_EQ(runs[0].size(), kSlots);
+  ASSERT_EQ(runs[1].size(), kSlots);
+  const std::string restore_path = temp_checkpoint_path() + "_restore.ckpt";
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    const std::size_t slot = i + 1;
+    SCOPED_TRACE("boundary " + std::to_string(slot));
+    const Published& serial = runs[0][i];
+    const Published& pooled = runs[1][i];
+    EXPECT_EQ(pooled.checkpoint, serial.checkpoint);
+    EXPECT_EQ(pooled.segments, serial.segments);
+    EXPECT_EQ(pooled.tenant_lines, serial.tenant_lines);
+    // Slot `slot`'s artefacts, all of them: one journal segment a slot,
+    // a checkpoint at this slot, and the page of this slot's state.
+    EXPECT_EQ(pooled.segments.size(), slot);
+    {
+      std::ofstream out(restore_path, std::ios::binary | std::ios::trunc);
+      out << pooled.checkpoint;
+    }
+    ServeController restored(specs, sim::SimOptions{}, market);
+    SyntheticFeed feed(6, 91);
+    DaemonConfig config;
+    config.metrics_path = restore_path + ".prom";  // an observer to restore
+    ServeDaemon daemon(restored, feed, config);
+    ASSERT_NO_THROW(daemon.restore_from(restore_path));
+    EXPECT_EQ(restored.slot(), slot);
+    EXPECT_EQ(restored.checkpoint_payload(),
+              util::decode_checkpoint(pooled.checkpoint));
+    const std::string emission =
+        "cea_tenant_emission_total{tenant=\"beta\"} " +
+        obs::prom_value(restored.tenant_engine(1).emission_total()) + "\n";
+    EXPECT_NE(pooled.tenant_lines.find(emission), std::string::npos)
+        << pooled.tenant_lines;
+  }
+  std::remove(restore_path.c_str());
+}
+
 TEST(ServeDaemon, StopsWhenFeedStaysPending) {
   const std::string dir = ::testing::TempDir() + "cea_serve_pending";
   ::mkdir(dir.c_str(), 0755);
@@ -728,6 +871,16 @@ TEST(ServeDaemon, RejectsFeedWidthMismatch) {
   SyntheticFeed feed(5, 1);  // controller needs 3
   EXPECT_THROW(ServeDaemon(controller, feed, DaemonConfig{}),
                std::invalid_argument);
+}
+
+TEST(ServeDaemon, RejectsACheckpointAndAPageOnOnePath) {
+  // The slot tail writes the two side by side, through one temp name.
+  ServeController controller({make_spec("t0", 17, 7, 8)}, sim::SimOptions{});
+  SyntheticFeed feed(3, 1);
+  DaemonConfig config;
+  config.checkpoint_path = temp_checkpoint_path();
+  config.metrics_path = config.checkpoint_path;
+  EXPECT_THROW(ServeDaemon(controller, feed, config), std::invalid_argument);
 }
 
 }  // namespace

@@ -802,6 +802,17 @@ class CheckpointFileTest : public ::testing::Test {
     std::remove(b.c_str());
     return supported;
   }
+  /// The three publishers, each with the reader of what it writes.
+  struct Writer {
+    const char* name;
+    void (*write)(const std::string&, std::string_view);
+    std::string (*read)(const std::string&);
+  };
+  static constexpr Writer kWriters[] = {
+      {"write_checkpoint_file", write_checkpoint_file, read_checkpoint_file},
+      {"write_file_durable", write_file_durable, read_file_bytes},
+      {"write_file_atomic", write_file_atomic, read_file_bytes},
+  };
   std::string path_;
 };
 
@@ -854,27 +865,34 @@ TEST_F(CheckpointFileTest, HardLinkedTempIsNeverOverwritten) {
   // Another name for the temp file's inode, such as an operator's `ln` of
   // an earlier checkpoint, keeps its bytes: the writer starts a new file.
   const std::string other = path_ + ".backup";
-  write_checkpoint_file(path_, payload(1'000, 'a'));
-  const std::string held = encode_checkpoint(payload(3'000, 'h'));
-  put_file(path_ + ".tmp", held);
-  ASSERT_EQ(::link((path_ + ".tmp").c_str(), other.c_str()), 0);
-  const std::string next = payload(2'000, 'b');
-  write_checkpoint_file(path_, next);
-  EXPECT_EQ(read_checkpoint_file(path_), next);
-  EXPECT_EQ(read_file_bytes(other), held);
-  std::remove(other.c_str());
+  for (const Writer& writer : kWriters) {
+    SCOPED_TRACE(writer.name);
+    writer.write(path_, payload(1'000, 'a'));
+    const std::string held = encode_checkpoint(payload(3'000, 'h'));
+    put_file(path_ + ".tmp", held);
+    ASSERT_EQ(::link((path_ + ".tmp").c_str(), other.c_str()), 0);
+    const std::string next = payload(2'000, 'b');
+    writer.write(path_, next);
+    EXPECT_EQ(writer.read(path_), next);
+    EXPECT_EQ(read_file_bytes(other), held);
+    std::remove(other.c_str());
+  }
 }
 
 TEST_F(CheckpointFileTest, SymlinkedTempIsNeverWrittenThrough) {
   const std::string other = path_ + ".target";
-  write_checkpoint_file(path_, payload(1'000, 'a'));
-  put_file(other, "not a checkpoint");
-  ASSERT_EQ(::symlink(other.c_str(), (path_ + ".tmp").c_str()), 0);
-  const std::string next = payload(2'000, 'b');
-  write_checkpoint_file(path_, next);
-  EXPECT_EQ(read_checkpoint_file(path_), next);
-  EXPECT_EQ(read_file_bytes(other), "not a checkpoint");
-  std::remove(other.c_str());
+  for (const Writer& writer : kWriters) {
+    SCOPED_TRACE(writer.name);
+    writer.write(path_, payload(1'000, 'a'));
+    put_file(other, "not a checkpoint");
+    std::remove((path_ + ".tmp").c_str());
+    ASSERT_EQ(::symlink(other.c_str(), (path_ + ".tmp").c_str()), 0);
+    const std::string next = payload(2'000, 'b');
+    writer.write(path_, next);
+    EXPECT_EQ(writer.read(path_), next);
+    EXPECT_EQ(read_file_bytes(other), "not a checkpoint");
+    std::remove(other.c_str());
+  }
 }
 
 TEST_F(CheckpointFileTest, DirectoryAtCheckpointPathIsNeverMoved) {

@@ -1,12 +1,15 @@
 // Fault and crash tests for the checkpoint writer's sequence
-// (util::write_checkpoint_file; DESIGN.md §11 "Publication").
+// (util::write_checkpoint_file; DESIGN.md §11 "Publication"), and for a
+// checkpoint that fails inside a pooled daemon's slot tail (§11 "Slot
+// tail").
 //
 // This executable replaces fsync, renameat2 and pwrite the way
 // perfserve/perf_serve.cpp replaces fsync: the library's calls resolve to
 // the definitions below. Each passes through to the system call unless
-// the test's plan fails it or ends the process inside it. The tests live
-// in an executable of their own so that no other test links the
-// replacements.
+// the test's plan fails it or ends the process inside it. A pool worker
+// may make these calls too, so the call counter and the log are safe to
+// use from two threads. The tests live in an executable of their own so
+// that no other test links the replacements.
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -16,13 +19,22 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "obs/journal.h"
+#include "serve/controller.h"
+#include "serve/daemon.h"
+#include "serve/feed.h"
+#include "sim/experiment.h"
 #include "util/state_io.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -39,32 +51,46 @@ const char* call_name(Call call) {
   return "?";
 }
 
-/// What the replacements do; the default passes every call through.
+/// What the replacements do; the default passes every call through. Set
+/// before the calls it plans are made, and not while they run.
 struct Plan {
   bool fail_file_sync = false;   ///< fsync of a regular file: EIO
+  std::string fail_sync_of;      ///< fsync of the file now at this path: EIO
   bool fail_dir_sync = false;    ///< fsync of a directory: EIO
   bool refuse_exchange = false;  ///< RENAME_EXCHANGE: EINVAL
   std::size_t crash_at = 0;      ///< _exit inside this call (1-based)
   bool crash_after = false;      ///< ... once it is made, not before
-  std::vector<Call>* log = nullptr;  ///< every call, when set
+  std::vector<Call>* log = nullptr;  ///< every call, when set (g_log_mutex)
 };
 
 Plan g_plan;
-std::size_t g_calls = 0;
+std::atomic<std::size_t> g_calls{0};
+std::mutex g_log_mutex;
 
 /// The exit code of a process that ended at its planned crash point.
 constexpr int kCrashed = 42;
 
 /// Count and log one call; true when the planned crash falls inside it.
 bool crash_here(Call call) {
-  ++g_calls;
-  if (g_plan.log != nullptr) g_plan.log->push_back(call);
-  return g_calls == g_plan.crash_at;
+  const std::size_t number = ++g_calls;
+  if (g_plan.log != nullptr) {
+    std::lock_guard<std::mutex> lock(g_log_mutex);
+    g_plan.log->push_back(call);
+  }
+  return number == g_plan.crash_at;
 }
 
 bool is_directory(int fd) {
   struct stat info {};
   return ::fstat(fd, &info) == 0 && S_ISDIR(info.st_mode);
+}
+
+/// Whether `fd` is open on the file now named `path`.
+bool is_file_at(int fd, const std::string& path) {
+  struct stat open_file {}, named {};
+  return !path.empty() && ::fstat(fd, &open_file) == 0 &&
+         ::stat(path.c_str(), &named) == 0 &&
+         open_file.st_dev == named.st_dev && open_file.st_ino == named.st_ino;
 }
 
 }  // namespace
@@ -73,7 +99,8 @@ extern "C" int fsync(int fd) {
   const bool directory = is_directory(fd);
   const bool crash = crash_here(directory ? Call::kDirSync : Call::kFileSync);
   if (crash && !g_plan.crash_after) ::_exit(kCrashed);
-  if (directory ? g_plan.fail_dir_sync : g_plan.fail_file_sync) {
+  if (directory ? g_plan.fail_dir_sync
+                : g_plan.fail_file_sync || is_file_at(fd, g_plan.fail_sync_of)) {
     errno = EIO;
     return -1;
   }
@@ -247,6 +274,133 @@ TEST_F(PublishFaults, CrashAtEveryCallLeavesTheNewOrThePreviousCheckpoint) {
       EXPECT_EQ(checkpoint(), next);
     }
   }
+}
+
+/// Two 3-edge tenants; the test runs them against a binding shared market
+/// cap, as the serve_daemon CLI gates do.
+std::vector<serve::TenantSpec> two_tenants(std::size_t horizon) {
+  std::vector<serve::TenantSpec> specs(2);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].name = i == 0 ? "alpha" : "beta";
+    specs[i].scenario.num_edges = 3;
+    specs[i].scenario.horizon = horizon;
+    specs[i].scenario.workload.num_slots = horizon;
+    specs[i].scenario.carbon_cap = 40.0;
+    specs[i].scenario.loss_draw_cap = 64;
+    specs[i].scenario.seed = 17 + i;
+    specs[i].combo = sim::ours_combo();
+    specs[i].run_seed = 7 + i;
+  }
+  return specs;
+}
+
+/// A SyntheticFeed that, when asked for slot `t`, plans the failure of
+/// every later fsync of the file at `path`.
+class FailSyncFrom final : public serve::FeedSource {
+ public:
+  FailSyncFrom(std::size_t edges, std::uint64_t seed, std::size_t t,
+               std::string path)
+      : feed_(edges, seed), t_(t), path_(std::move(path)) {}
+  serve::FeedStatus poll(std::size_t t, serve::SlotInput& out) override {
+    if (t == t_) g_plan.fail_sync_of = path_;
+    return feed_.poll(t, out);
+  }
+  std::size_t num_edges() const noexcept override {
+    return feed_.num_edges();
+  }
+  std::string name() const override { return "fail-sync"; }
+
+ private:
+  serve::SyntheticFeed feed_;
+  std::size_t t_;
+  std::string path_;
+};
+
+/// Remove a journal directory, segments first (a failed run may have
+/// left one behind).
+void remove_journal(const std::string& dir) {
+  for (std::size_t i = 0; i < 64; ++i) {
+    std::remove(obs::segment_path(dir, i).c_str());
+  }
+  ::rmdir(dir.c_str());
+}
+
+TEST_F(PublishFaults, FailedCheckpointInThePooledTailReachesTheCaller) {
+  // The checkpoint task of the slot tail fails at boundary kFailAt, on a
+  // pool worker or on the slot thread. The error ends run(), and what is
+  // on disk is what a crash there would leave: the journal through the
+  // failing slot and the previous boundary's checkpoint.
+  constexpr std::size_t kSlots = 16, kFailAt = 6, kEdges = 6;
+  constexpr std::uint64_t kSeed = 29;
+  const auto specs = two_tenants(kSlots);
+  const serve::MarketRule market{2.0};
+  const std::string straight_dir = path_ + "_straight";
+  const std::string journal_dir = path_ + "_journal";
+  for (const std::string& dir : {straight_dir, journal_dir}) {
+    remove_journal(dir);
+    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  }
+  {
+    serve::ServeController controller(specs, sim::SimOptions{}, market);
+    serve::SyntheticFeed feed(kEdges, kSeed);
+    serve::DaemonConfig config;
+    config.max_slots = kSlots;
+    config.journal_dir = straight_dir;
+    serve::ServeDaemon(controller, feed, config).run();
+  }
+
+  ThreadPool pool(3);
+  sim::SimOptions options;
+  options.pool = &pool;
+  serve::DaemonConfig config;
+  config.checkpoint_path = path_;
+  config.checkpoint_every = 1;
+  config.journal_dir = journal_dir;
+  config.metrics_path = path_ + ".prom";
+  config.max_slots = kSlots;
+  {
+    serve::ServeController controller(specs, options, market);
+    FailSyncFrom feed(kEdges, kSeed, kFailAt - 1, temp());
+    serve::ServeDaemon daemon(controller, feed, config);
+    EXPECT_THROW(daemon.run(), StateError);
+  }
+  g_plan = Plan{};
+
+  // The journal was sealed before the checkpoint task: it verifies and
+  // holds every executed slot.
+  const obs::JournalStats stats = obs::verify_journal(journal_dir);
+  ASSERT_TRUE(stats.ok) << stats.error;
+  std::vector<std::uint64_t> journaled;
+  for (const obs::JournalRecord& record : obs::read_journal(journal_dir)) {
+    if (record.kind == obs::JournalRecord::Kind::kSlot &&
+        record.tenant == "alpha") {
+      journaled.push_back(record.slot);
+    }
+  }
+  ASSERT_EQ(journaled.size(), kFailAt);
+  for (std::size_t t = 0; t < kFailAt; ++t) EXPECT_EQ(journaled[t], t);
+
+  // The checkpoint is the previous boundary's, and a daemon restored from
+  // it finishes with the uninterrupted run's journal. The restored life
+  // journals the failing slot again; drop the repeated lines.
+  {
+    serve::ServeController controller(specs, options, market);
+    serve::SyntheticFeed feed(kEdges, kSeed);
+    serve::ServeDaemon daemon(controller, feed, config);
+    daemon.restore_from(path_);
+    EXPECT_EQ(controller.slot(), kFailAt - 1);
+    EXPECT_EQ(daemon.run().final_slot, kSlots);
+  }
+  std::vector<std::string> revived;
+  std::set<std::string> seen;
+  for (std::string& line : obs::read_journal_lines(journal_dir)) {
+    if (seen.insert(line).second) revived.push_back(std::move(line));
+  }
+  EXPECT_EQ(revived, obs::read_journal_lines(straight_dir));
+
+  std::remove(config.metrics_path.c_str());
+  remove_journal(straight_dir);
+  remove_journal(journal_dir);
 }
 
 }  // namespace

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -72,6 +76,62 @@ TEST(ThreadPool, ConcurrencyCapStillCompletes) {
                     [&](std::size_t i) { hits[i].fetch_add(1); },
                     /*max_concurrency=*/2);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+/// Arrive, then wait until `count` tasks have arrived; false after 10 s.
+/// Tasks that all return true ran at the same time, on different threads.
+bool rendezvous(std::atomic<int>& arrived, int count) {
+  arrived.fetch_add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (arrived.load() < count) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadPool, TaskExceptionReachesTheCaller) {
+  // One worker and the caller: two tasks that wait for each other run one
+  // on each, and both throw.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::thread::id ran_on[2];
+  try {
+    pool.parallel_for(2, [&](std::size_t i) {
+      ran_on[i] = std::this_thread::get_id();
+      if (!rendezvous(arrived, 2)) throw std::logic_error("ran alone");
+      throw std::runtime_error("task " + std::to_string(i));
+    });
+    ADD_FAILURE() << "no exception reached the caller";
+  } catch (const std::exception& e) {
+    EXPECT_STREQ(e.what(), "task 0");  // the lowest failing index
+  }
+  EXPECT_NE(ran_on[0], ran_on[1]);
+  EXPECT_TRUE(ran_on[0] == caller || ran_on[1] == caller);
+
+  // The caller left its parallel region, and the worker lives: the next
+  // job fans out again.
+  std::atomic<int> again{0};
+  std::atomic<int> together{0};
+  pool.parallel_for(2, [&](std::size_t) {
+    if (rendezvous(again, 2)) together.fetch_add(1);
+  });
+  EXPECT_EQ(together.load(), 2);
+
+  // Across more workers and indices, the lowest failing index still wins.
+  ThreadPool wide(3);
+  for (int round = 0; round < 20; ++round) {
+    try {
+      wide.parallel_for(64, [](std::size_t i) {
+        if (i % 2 == 1) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception reached the caller";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "1");
+    }
+  }
 }
 
 // --- parallel_for_blocked (contiguous shards, one claim per shard) ------
