@@ -10,7 +10,7 @@
 //
 //   1. bit-identity — the pooled run's RunResult must equal the serial
 //      run's exactly (every per-slot series, every selection count), for
-//      any pool width and shard grain;
+//      any pool width;
 //   2. zero arena overflows — after FleetState's up-front reservation the
 //      slot path must not touch the heap (RunResult::arena_overflows == 0);
 //   3. workload purity — the keyed heavy-tail / flash-crowd generators

@@ -12,8 +12,9 @@
 // Trace mode folds duplicate (tenant, slot) records — a daemon restored
 // from a checkpoint re-executes the slots after it bit-identically, so
 // duplicates must be byte-identical; a differing duplicate is reported as
-// corruption. The rebuilt CSV is byte-comparable (`cmp`) against
-// serve_daemon --trace-out of the same run.
+// corruption. The rebuilt CSV comes from the recorder and writer behind
+// serve_daemon --trace-out (sim/series_recorder.h), so it is
+// byte-comparable (`cmp`) against the trace of the same run.
 //
 // --dump-checkpoint verifies the checkpoint's envelope, then walks its
 // records without a schema and prints one `key type count values...` line
@@ -30,7 +31,9 @@
 #include <utility>
 #include <vector>
 
+#include "obs/export.h"
 #include "obs/journal.h"
+#include "sim/series_recorder.h"
 #include "util/csv.h"
 #include "util/numio.h"
 #include "util/state_io.h"
@@ -122,7 +125,7 @@ void write_csv(FILE* out, const std::vector<obs::JournalRecord>& records,
     std::fprintf(
         out, "%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,"
              "%s,%s,%s\n",
-        slot_kind ? "slot" : "alert", r.tenant.c_str(),
+        slot_kind ? "slot" : "alert", csv_escape(r.tenant).c_str(),
         util::format_u64(r.slot).c_str(), counts_field(r.model_counts).c_str(),
         util::format_u64(r.switches_total).c_str(),
         util::format_u64(r.solver_lanes).c_str(),
@@ -132,7 +135,7 @@ void write_csv(FILE* out, const std::vector<obs::JournalRecord>& records,
         d(r.carbon_cap).c_str(), d(r.inference_cost).c_str(),
         d(r.switching_cost).c_str(), d(r.trading_cost).c_str(),
         d(r.accuracy).c_str(), d(r.workload).c_str(),
-        slot_kind ? "-" : r.alert.c_str(), d(r.value).c_str(),
+        slot_kind ? "-" : csv_escape(r.alert).c_str(), d(r.value).c_str(),
         d(r.threshold).c_str());
   }
 }
@@ -158,7 +161,8 @@ void write_json(FILE* out, const std::vector<obs::JournalRecord>& records,
           "\"carbon_cap\": \"%s\", \"inference_cost\": \"%s\", "
           "\"switching_cost\": \"%s\", \"trading_cost\": \"%s\", "
           "\"accuracy\": \"%s\", \"workload\": \"%s\"}",
-          r.tenant.c_str(), util::format_u64(r.slot).c_str(),
+          obs::json_escape(r.tenant).c_str(),
+          util::format_u64(r.slot).c_str(),
           counts_field(r.model_counts).c_str(),
           util::format_u64(r.switches_total).c_str(),
           util::format_u64(r.solver_lanes).c_str(),
@@ -174,8 +178,9 @@ void write_json(FILE* out, const std::vector<obs::JournalRecord>& records,
                    "  {\"kind\": \"alert\", \"tenant\": \"%s\", "
                    "\"slot\": %s, \"alert\": \"%s\", \"value\": \"%s\", "
                    "\"threshold\": \"%s\"}",
-                   r.tenant.c_str(), util::format_u64(r.slot).c_str(),
-                   r.alert.c_str(), d(r.value).c_str(),
+                   obs::json_escape(r.tenant).c_str(),
+                   util::format_u64(r.slot).c_str(),
+                   obs::json_escape(r.alert).c_str(), d(r.value).c_str(),
                    d(r.threshold).c_str());
     }
   }
@@ -184,63 +189,47 @@ void write_json(FILE* out, const std::vector<obs::JournalRecord>& records,
 
 /// Rebuild serve_daemon's --trace-out CSV from the journaled slot records:
 /// per tenant (journal first-appearance order == tenant-index order), the
-/// eight per-slot series plus the scalars row, hex-float exact. Duplicate
-/// (tenant, slot) records from checkpoint restores must be byte-identical
-/// (the later run re-executed the slot bit-exactly); the last one wins.
+/// records go to a sim::SeriesRecorder as observations, and
+/// sim::write_trace_rows writes them, as serve_daemon writes its own.
+/// Duplicate (tenant, slot) records from checkpoint restores must be
+/// byte-identical (the later run re-executed the slot bit-exactly).
 /// Throws JournalError on differing duplicates or slot gaps.
 void write_trace(const std::vector<obs::JournalRecord>& records,
                  const std::string& path) {
   std::vector<std::string> order;
-  std::map<std::string, std::map<std::uint64_t, obs::JournalRecord>> slots;
+  std::map<std::string, std::map<std::uint64_t, const obs::JournalRecord*>>
+      slots;
   for (const obs::JournalRecord& r : records) {
     if (r.kind != obs::JournalRecord::Kind::kSlot) continue;
-    auto [it, inserted] = slots[r.tenant].try_emplace(r.slot, r);
-    if (slots[r.tenant].size() == 1 && inserted) order.push_back(r.tenant);
-    if (!inserted) {
-      if (obs::format_record(it->second) != obs::format_record(r)) {
-        throw obs::JournalError(
-            "tenant '" + r.tenant + "' slot " + std::to_string(r.slot) +
-            ": duplicate records differ (restored run diverged)");
-      }
-      it->second = r;
+    auto& by_slot = slots[r.tenant];
+    if (by_slot.empty()) order.push_back(r.tenant);
+    const auto [it, inserted] = by_slot.try_emplace(r.slot, &r);
+    if (!inserted && obs::format_record(*it->second) != obs::format_record(r)) {
+      throw obs::JournalError(
+          "tenant '" + r.tenant + "' slot " + std::to_string(r.slot) +
+          ": duplicate records differ (restored run diverged)");
     }
   }
+  sim::SeriesRecorder recorder(order.size());
   CsvWriter writer(path);
-  for (const std::string& tenant : order) {
-    const auto& by_slot = slots[tenant];
-    std::vector<double> inference, switching, trading, emissions, buys,
-        sells, accuracy, workload;
+  for (std::size_t i = 0; i < order.size(); ++i) {
     std::uint64_t expected = 0;
-    const obs::JournalRecord* last = nullptr;
-    for (const auto& [slot, record] : by_slot) {
+    for (const auto& [slot, record] : slots[order[i]]) {
       if (slot != expected) {
-        throw obs::JournalError("tenant '" + tenant + "': slot " +
+        throw obs::JournalError("tenant '" + order[i] + "': slot " +
                                 std::to_string(expected) +
                                 " missing from the journal");
       }
       ++expected;
-      inference.push_back(record.inference_cost);
-      switching.push_back(record.switching_cost);
-      trading.push_back(record.trading_cost);
-      emissions.push_back(record.emission);
-      buys.push_back(record.buy);
-      sells.push_back(record.sell);
-      accuracy.push_back(record.accuracy);
-      workload.push_back(record.workload);
-      last = &record;
+      sim::SlotObservation observed;
+      static_cast<obs::SlotValues&>(observed) = *record;
+      observed.slot = slot;
+      observed.model_counts = record->model_counts;
+      recorder.on_tenant_slot(i, observed);
     }
-    const std::string prefix = tenant + ".";
-    writer.write_row_exact(prefix + "inference_cost", inference);
-    writer.write_row_exact(prefix + "switching_cost", switching);
-    writer.write_row_exact(prefix + "trading_cost", trading);
-    writer.write_row_exact(prefix + "emissions", emissions);
-    writer.write_row_exact(prefix + "buys", buys);
-    writer.write_row_exact(prefix + "sells", sells);
-    writer.write_row_exact(prefix + "accuracy", accuracy);
-    writer.write_row_exact(prefix + "workload", workload);
-    writer.write_row_exact(
-        prefix + "scalars",
-        {static_cast<double>(last->switches_total), last->balance});
+    const obs::JournalRecord& last = *slots[order[i]].rbegin()->second;
+    sim::write_trace_rows(writer, order[i], recorder.result(i),
+                          last.switches_total, last.balance);
   }
 }
 

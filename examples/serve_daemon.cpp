@@ -155,27 +155,16 @@ sim::AlgorithmCombo find_combo(const std::string& name) {
 }
 
 /// Hex-exact per-tenant trace of the slots this process executed —
-/// byte-comparable across runs, and with journal_query --format trace
-/// (the kill/restore and observability gates `cmp` them).
+/// byte-comparable across runs, and with journal_query --format trace,
+/// which writes the same rows from the journal (the kill/restore and
+/// observability gates `cmp` them).
 void write_trace(serve::ServeController& controller,
                  const sim::SeriesRecorder& series, const std::string& path) {
   CsvWriter writer(path);
   for (std::size_t i = 0; i < controller.num_tenants(); ++i) {
-    const sim::RunResult& result = series.result(i);
-    const std::string prefix = controller.tenant_name(i) + ".";
-    writer.write_row_exact(prefix + "inference_cost", result.inference_cost);
-    writer.write_row_exact(prefix + "switching_cost", result.switching_cost);
-    writer.write_row_exact(prefix + "trading_cost", result.trading_cost);
-    writer.write_row_exact(prefix + "emissions", result.emissions);
-    writer.write_row_exact(prefix + "buys", result.buys);
-    writer.write_row_exact(prefix + "sells", result.sells);
-    writer.write_row_exact(prefix + "accuracy", result.accuracy);
-    writer.write_row_exact(prefix + "workload", result.workload);
     const sim::SlotEngine& engine = controller.tenant_engine(i);
-    writer.write_row_exact(
-        prefix + "scalars",
-        {static_cast<double>(engine.total_switches()),
-         engine.allowance_balance()});
+    sim::write_trace_rows(writer, controller.tenant_name(i), series.result(i),
+                          engine.total_switches(), engine.allowance_balance());
   }
 }
 

@@ -36,22 +36,16 @@ class JournalError : public std::runtime_error {
   explicit JournalError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// One journal record. kSlot records carry the full decision snapshot of
-/// (tenant, slot); kAlert records carry a watchdog alert raised at that
-/// slot (value/threshold semantics per rule, obs/slo.h).
-struct JournalRecord {
-  enum class Kind : std::uint8_t { kSlot, kAlert };
-
-  Kind kind = Kind::kSlot;
-  std::string tenant;      ///< tenant name (no whitespace or '#')
-  std::uint64_t slot = 0;  ///< slot the record describes
-
-  // --- kSlot fields -------------------------------------------------------
-  /// Edges that selected each model this slot (size = model count).
-  std::vector<std::uint64_t> model_counts;
+/// The decision values of one (tenant, slot), in journal order: the one
+/// declaration of the slot record. sim::SlotObservation (the engine's
+/// per-slot output) and JournalRecord (its journal line) both derive from
+/// it, so the daemon copies one into the other with one assignment; the
+/// line format, its parser and journal_query's exports name each field.
+struct SlotValues {
   std::uint64_t switches_total = 0;   ///< cumulative switches after the slot
-  /// Reserved, always 0 in new records (sim::SlotObservation::solver_lanes);
-  /// still parsed so existing v1 segments stay readable.
+  /// Reserved, always 0. Kept so the CEA-JOURNAL v1 layout and its
+  /// existing segments stay valid; it used to count the slot's batched
+  /// Tsallis solves, which differ between serial and pooled runs.
   std::uint64_t solver_lanes = 0;
   std::uint64_t arena_overflows = 0;  ///< cumulative (0 certifies the slot path)
   double trader_dual = 0.0;  ///< lambda after feedback; NaN when stateless
@@ -62,6 +56,22 @@ struct JournalRecord {
   double carbon_cap = 0.0;  ///< R of the tenant's scenario
   double inference_cost = 0.0, switching_cost = 0.0, trading_cost = 0.0;
   double accuracy = 0.0, workload = 0.0;
+};
+
+/// One journal record. kSlot records carry the decision values of
+/// (tenant, slot) and its per-model counts; kAlert records carry a
+/// watchdog alert raised at that slot (value/threshold semantics per
+/// rule, obs/slo.h).
+struct JournalRecord : SlotValues {
+  enum class Kind : std::uint8_t { kSlot, kAlert };
+
+  Kind kind = Kind::kSlot;
+  std::string tenant;      ///< tenant name (no whitespace or '#')
+  std::uint64_t slot = 0;  ///< slot the record describes
+
+  // --- kSlot fields beyond SlotValues --------------------------------------
+  /// Edges that selected each model this slot (size = model count).
+  std::vector<std::uint64_t> model_counts;
 
   // --- kAlert fields ------------------------------------------------------
   std::string alert;       ///< rule name (obs::slo_kind_name)

@@ -45,7 +45,7 @@ ServeController::ServeController(const std::vector<TenantSpec>& tenants,
   }
 }
 
-void ServeController::set_observer(TenantSlotObserver* observer) {
+void ServeController::set_observer(sim::SlotObserver* observer) {
   observer_ = observer;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     tenants_[i].engine->set_observer(observer, i);

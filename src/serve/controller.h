@@ -26,24 +26,9 @@
 
 namespace cea::serve {
 
-/// The engines' decision observer: set_observer attaches it to every
-/// tenant engine with the tenant's index, so it gets one callback per
-/// (tenant, slot), in tenant-index order within each slot (phase 3
-/// executes tenants in index order, and every engine hook fires
-/// synchronously). The daemon implements it to feed the decision journal
-/// and the SLO watchdog. State it keeps across slots travels in the
-/// controller's checkpoint as one opaque record; a stateless observer
-/// keeps the defaults.
-class TenantSlotObserver : public sim::SlotObserver {
- public:
-  /// The observer's state at a slot boundary, in bytes load_state
-  /// accepts; empty when it keeps none.
-  virtual std::string save_state() const { return {}; }
-  /// Resume from bytes save_state() wrote. They are empty when the
-  /// checkpoint was written with no observer or a stateless one. Throws
-  /// util::StateError on bytes it cannot parse.
-  virtual void load_state(std::string_view state) { (void)state; }
-};
+/// The former name of sim::SlotObserver, kept for the serving benchmark's
+/// observer (perfserve/perf_serve.cpp), which derives from it.
+using TenantSlotObserver = sim::SlotObserver;
 
 /// One tenant: a scenario, an algorithm pairing, and a run seed.
 struct TenantSpec {
@@ -62,9 +47,9 @@ struct MarketRule {
 
 class ServeController {
  public:
-  /// Builds every tenant's environment and engine. `options` (pool,
-  /// sharding, batch solving) applies to every engine. Throws
-  /// std::invalid_argument on empty or duplicate-name tenant lists.
+  /// Builds every tenant's environment and engine. `options` (the pool)
+  /// applies to every engine. Throws std::invalid_argument on empty or
+  /// duplicate-name tenant lists.
   ServeController(const std::vector<TenantSpec>& tenants,
                   const sim::SimOptions& options, MarketRule market = {});
 
@@ -95,9 +80,12 @@ class ServeController {
             std::span<const int> workload_all);
 
   /// Attach (or detach with nullptr) the per-(tenant, slot) observer to
-  /// every tenant engine. The observer must outlive the controller or be
-  /// detached first.
-  void set_observer(TenantSlotObserver* observer);
+  /// every tenant engine with the tenant's index, so it gets one callback
+  /// per (tenant, slot), in tenant-index order within each slot (phase 3
+  /// executes tenants in index order, and every engine hook fires
+  /// synchronously). Its save_state() travels in the checkpoint. The
+  /// observer must outlive the controller or be detached first.
+  void set_observer(sim::SlotObserver* observer);
 
   /// Serialize the controller's decision state (meta, every engine, and
   /// the attached observer's save_state() as one `serve.observer_state`
@@ -127,7 +115,7 @@ class ServeController {
   std::size_t total_edges_ = 0;
   MarketRule market_;
   util::ThreadPool* pool_ = nullptr;
-  TenantSlotObserver* observer_ = nullptr;
+  sim::SlotObserver* observer_ = nullptr;
   /// Size of the last checkpoint_payload(): the next one's buffer hint.
   mutable std::size_t checkpoint_bytes_ = 0;
 };

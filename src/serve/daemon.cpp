@@ -53,7 +53,7 @@ bool journaled_alert(obs::SloKind kind) {
 // load_state), so a restored run raises the same alerts with the same
 // values as the uninterrupted one: the journal bit-identity contract
 // extends across restores.
-struct ServeDaemon::Obs final : TenantSlotObserver {
+struct ServeDaemon::Obs final : sim::SlotObserver {
   ServeController& controller;
   const DaemonConfig& config;
   sim::SeriesRecorder* series;
@@ -117,22 +117,7 @@ struct ServeDaemon::Obs final : TenantSlotObserver {
       record.slot = observed.slot;
       record.model_counts.assign(observed.model_counts.begin(),
                                  observed.model_counts.end());
-      record.switches_total = observed.switches_total;
-      record.solver_lanes = observed.solver_lanes;
-      record.arena_overflows = observed.arena_overflows;
-      record.trader_dual = observed.trader_dual;
-      record.buy = observed.buy;
-      record.sell = observed.sell;
-      record.buy_price = observed.buy_price;
-      record.sell_price = observed.sell_price;
-      record.emission = observed.emission;
-      record.balance = observed.balance;
-      record.carbon_cap = observed.carbon_cap;
-      record.inference_cost = observed.inference_cost;
-      record.switching_cost = observed.switching_cost;
-      record.trading_cost = observed.trading_cost;
-      record.accuracy = observed.accuracy;
-      record.workload = observed.workload;
+      static_cast<obs::SlotValues&>(record) = observed;
       journal->append(record);
     }
 
@@ -303,16 +288,15 @@ ServeDaemon::ServeDaemon(ServeController& controller, FeedSource& feed,
                              config_.metrics_port >= 0 ||
                              config_.slo.feed_stall_ms > 0 ||
                              config_.slo.slot_deadline_ms > 0;
+  // With observability the recorder rides behind Obs, which forwards
+  // every observation to it; a bare recorder's state is empty, so either
+  // way the checkpoint's observer record holds the watchdog or nothing.
+  sim::SlotObserver* observer = series_;
   if (observability) {
     obs_ = std::make_unique<Obs>(controller_, config_, series_);
-    controller_.set_observer(obs_.get());
-  } else if (series_ != nullptr) {
-    // A recorder keeps no decision state, so the controller's observer
-    // slot (whose state a checkpoint carries) stays empty.
-    for (std::size_t i = 0; i < controller_.num_tenants(); ++i) {
-      controller_.tenant_engine(i).set_observer(series_, i);
-    }
+    observer = obs_.get();
   }
+  if (observer != nullptr) controller_.set_observer(observer);
 }
 
 ServeDaemon::~ServeDaemon() {

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +12,7 @@
 #include "data/trace_io.h"
 #include "util/numio.h"
 #include "util/rng.h"
+#include "util/state_io.h"
 
 namespace cea::serve {
 namespace {
@@ -194,29 +194,16 @@ FeedStatus DirectoryTailFeed::poll(std::size_t t, SlotInput& out) {
 
 void DirectoryTailFeed::publish_slot(const DirectoryTailFeed& feed,
                                      std::size_t t, const SlotInput& input) {
-  const std::string path = feed.slot_path(t);
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp);
-  if (!out) {
-    throw std::runtime_error("DirectoryTailFeed: cannot write " + tmp);
-  }
-  out << util::format_double_exact(input.quote.buy_price) << ','
-      << util::format_double_exact(input.quote.sell_price) << '\n';
+  std::string text = util::format_double_exact(input.quote.buy_price) + ',' +
+                     util::format_double_exact(input.quote.sell_price) + '\n';
   for (std::size_t i = 0; i < input.workload.size(); ++i) {
-    if (i > 0) out << ',';
-    out << util::format_i64(input.workload[i]);
+    if (i > 0) text += ',';
+    text += util::format_i64(input.workload[i]);
   }
-  out << '\n';
-  // A failed write (disk full) must not be published: poll would parse a
-  // count line cut mid-number as a valid, wrong count.
-  out.close();
-  if (!out) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("DirectoryTailFeed: write failed on " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("DirectoryTailFeed: cannot publish " + path);
-  }
+  text += '\n';
+  // A failed write (disk full) publishes nothing: poll would parse a count
+  // line cut mid-number as a valid, wrong count.
+  util::write_file_atomic(feed.slot_path(t), text);
 }
 
 }  // namespace cea::serve

@@ -121,9 +121,11 @@ class DirectoryTailFeed final : public FeedSource {
   std::string slot_path(std::size_t t) const;
   std::string end_path() const;
 
-  /// Producer-side helper: atomically publish slot t (write to a temp
-  /// name, then rename) so a concurrent poll never sees a torn file.
-  /// Throws std::runtime_error, publishing nothing, if the write fails.
+  /// Producer-side helper: atomically publish slot t
+  /// (util::write_file_atomic: a fresh temp file, then rename) so a
+  /// concurrent poll never sees a torn file, and a stale temp name is
+  /// never written through. Throws util::StateError (a
+  /// std::runtime_error), publishing nothing, if the write fails.
   static void publish_slot(const DirectoryTailFeed& feed, std::size_t t,
                            const SlotInput& input);
 

@@ -78,11 +78,9 @@ RunResult run_combo(const Environment& env, const AlgorithmCombo& combo,
 }
 
 RunResult run_combo_pooled(const Environment& env, const AlgorithmCombo& combo,
-                           std::uint64_t run_seed, util::ThreadPool* pool,
-                           std::size_t edge_shard_grain) {
+                           std::uint64_t run_seed, util::ThreadPool* pool) {
   SimOptions options;
   options.pool = pool;
-  options.edge_shard_grain = edge_shard_grain;
   return run_combo_with(env, combo, run_seed, options);
 }
 
@@ -90,14 +88,12 @@ RunResult run_combo_averaged_pooled(const Environment& env,
                                     const AlgorithmCombo& combo,
                                     std::size_t num_runs,
                                     std::uint64_t base_seed,
-                                    util::ThreadPool* pool,
-                                    std::size_t edge_shard_grain) {
+                                    util::ThreadPool* pool) {
   assert(num_runs > 0);
   std::vector<RunResult> runs;
   runs.reserve(num_runs);
   for (std::size_t r = 0; r < num_runs; ++r) {
-    runs.push_back(run_combo_pooled(env, combo, base_seed + 1 + r, pool,
-                                    edge_shard_grain));
+    runs.push_back(run_combo_pooled(env, combo, base_seed + 1 + r, pool));
   }
   return average_runs(runs);
 }

@@ -53,14 +53,12 @@ RunResult run_combo_averaged_parallel(const Environment& env,
                                       std::size_t threads = 0);
 
 /// Run one combo once on the pooled edge-sharded engine: the per-edge work
-/// of every slot fans out over `pool` in contiguous shards of
-/// `edge_shard_grain` edges (0 = auto). Bit-identical to run_combo() for
-/// any pool width and grain — this is how the large-fleet sweeps (fig04 at
-/// 1k edges, bench/perf_fleet at 10k) parallelize *within* a run instead
-/// of across runs.
+/// of every slot fans out over `pool` in contiguous shards. Bit-identical
+/// to run_combo() for any pool width — this is how the large-fleet sweeps
+/// (fig04 at 1k edges, bench/perf_fleet at 10k) parallelize *within* a run
+/// instead of across runs.
 RunResult run_combo_pooled(const Environment& env, const AlgorithmCombo& combo,
-                           std::uint64_t run_seed, util::ThreadPool* pool,
-                           std::size_t edge_shard_grain = 0);
+                           std::uint64_t run_seed, util::ThreadPool* pool);
 
 /// run_combo_pooled averaged over num_runs seeds (base_seed+1..), runs
 /// executed sequentially so each one owns the full pool width. Seeds match
@@ -69,8 +67,7 @@ RunResult run_combo_averaged_pooled(const Environment& env,
                                     const AlgorithmCombo& combo,
                                     std::size_t num_runs,
                                     std::uint64_t base_seed,
-                                    util::ThreadPool* pool,
-                                    std::size_t edge_shard_grain = 0);
+                                    util::ThreadPool* pool);
 
 /// The Offline reference: per-edge best model at hindsight (minimum
 /// E[l_n] + v_{i,n}) held for the whole horizon, with carbon trading solved

@@ -1,5 +1,7 @@
 #include "sim/series_recorder.h"
 
+#include <string>
+
 namespace cea::sim {
 
 SeriesRecorder::SeriesRecorder(std::size_t num_tenants,
@@ -38,6 +40,22 @@ void SeriesRecorder::on_tenant_slot(std::size_t tenant,
   result.total_switches = observed.switches_total;
   result.arena_overflows = observed.arena_overflows;
   result.carbon_cap = observed.carbon_cap;
+}
+
+void write_trace_rows(CsvWriter& writer, std::string_view tenant,
+                      const RunResult& result, std::uint64_t switches,
+                      double balance) {
+  const std::string prefix = std::string(tenant) + ".";
+  writer.write_row_exact(prefix + "inference_cost", result.inference_cost);
+  writer.write_row_exact(prefix + "switching_cost", result.switching_cost);
+  writer.write_row_exact(prefix + "trading_cost", result.trading_cost);
+  writer.write_row_exact(prefix + "emissions", result.emissions);
+  writer.write_row_exact(prefix + "buys", result.buys);
+  writer.write_row_exact(prefix + "sells", result.sells);
+  writer.write_row_exact(prefix + "accuracy", result.accuracy);
+  writer.write_row_exact(prefix + "workload", result.workload);
+  writer.write_row_exact(prefix + "scalars",
+                         {static_cast<double>(switches), balance});
 }
 
 }  // namespace cea::sim

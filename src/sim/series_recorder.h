@@ -6,13 +6,19 @@
 // into the RunResult that the paper's figures, the golden traces and
 // serve_daemon --trace-out read. The record lives with whoever asked for
 // it, so it never enters a checkpoint and its size is the caller's choice.
+// write_trace_rows renders a recorded tenant as the serving trace CSV,
+// the one writer behind serve_daemon --trace-out and journal_query
+// --format trace.
 
 #include <cstddef>
+#include <cstdint>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "sim/metrics.h"
 #include "sim/slot_engine.h"
+#include "util/csv.h"
 
 namespace cea::sim {
 
@@ -42,5 +48,13 @@ class SeriesRecorder final : public SlotObserver {
  private:
   std::vector<RunResult> results_;
 };
+
+/// Append one tenant's trace rows, hex-float exact: the eight per-slot
+/// series of `result`, each labelled `<tenant>.<series>`, then
+/// `<tenant>.scalars` holding `switches` and `balance` (the tenant's
+/// switch total and allowance balance after its last slot).
+void write_trace_rows(CsvWriter& writer, std::string_view tenant,
+                      const RunResult& result, std::uint64_t switches,
+                      double balance);
 
 }  // namespace cea::sim

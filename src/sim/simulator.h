@@ -30,14 +30,6 @@ struct SimOptions {
   /// back. Both paths reproduce the scalar oracle bit for bit (see
   /// opt/tsallis_batch.h), so the choice never changes a result.
   util::ThreadPool* pool = nullptr;
-
-  /// Edges per shard of the pooled fan-out (0 = auto). Each shard is a
-  /// contiguous [begin, end) range claimed with ONE atomic operation and
-  /// written by exactly one worker — at 10k edges x 160 slots the
-  /// per-index claim of a plain parallel_for would be 1.6M atomic RMWs per
-  /// run. Purely a scheduling knob: results are bit-identical for every
-  /// grain (the reduction stays serial in edge order).
-  std::size_t edge_shard_grain = 0;
 };
 
 /// Drives the per-slot workflow of Fig. 2 over a scenario: per edge select

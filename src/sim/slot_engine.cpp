@@ -72,7 +72,8 @@ SlotEngine::SlotEngine(const Environment& env, const SimOptions& options,
   any_batchable_ =
       options_.pool == nullptr && fleet_->supports_batch_solve();
 
-  // One contiguous shard per claim (see SimOptions::edge_shard_grain).
+  // One contiguous shard per claim: each shard is written by exactly one
+  // worker, and a per-edge claim would cost one atomic RMW per edge.
   shard_task_ = [this](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) run_edge(i);
   };
@@ -223,9 +224,7 @@ void SlotEngine::finish_slot(const trading::TradeObservation& quote,
   {
     CEA_SPAN_DETAIL("sim.edges");
     if (options_.pool != nullptr) {
-      options_.pool->parallel_for_blocked(num_edges_,
-                                          options_.edge_shard_grain,
-                                          shard_task_);
+      options_.pool->parallel_for_blocked(num_edges_, 0, shard_task_);
     } else {
       for (std::size_t i = 0; i < num_edges_; ++i) run_edge(i);
     }

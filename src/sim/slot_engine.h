@@ -27,9 +27,11 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bandit/fleet_policy.h"
+#include "obs/journal.h"
 #include "opt/tsallis_batch.h"
 #include "sim/environment.h"
 #include "sim/fleet_state.h"
@@ -45,44 +47,40 @@ namespace cea::sim {
 /// very end of finish_slot (after the trader feedback, before the cursor
 /// advances) — the engine's only per-slot output: it keeps no history, so
 /// whoever wants the per-slot series records them (sim::SeriesRecorder,
-/// the daemon's decision journal). Every field comes out of the serial
-/// edge-ordered reduction, so observers inherit the engine's serial/pooled
-/// bit-identity. Both spans alias engine state — copy them if they must
-/// outlive the callback.
-struct SlotObservation {
+/// the daemon's decision journal). The decision values are the journal
+/// record's (obs::SlotValues); the observation adds the slot and two
+/// spans. Every field comes out of the serial edge-ordered reduction, so
+/// observers inherit the engine's serial/pooled bit-identity. Both spans
+/// alias engine state — copy them if they must outlive the callback.
+struct SlotObservation : obs::SlotValues {
   std::size_t slot = 0;  ///< the slot just executed
   /// Edges that selected each model this slot (size = num_models()).
   std::span<const std::uint64_t> model_counts;
   /// The model each edge hosted this slot (size = num_edges()).
   std::span<const std::uint32_t> hosted_models;
-  std::uint64_t switches_total = 0;   ///< cumulative switches so far
-  /// Reserved, always 0. Kept so the journal's CEA-JOURNAL v1 layout and
-  /// its existing segments stay valid; it used to count the slot's
-  /// batched Tsallis solves, which differ between serial and pooled runs.
-  std::uint64_t solver_lanes = 0;
-  std::uint64_t arena_overflows = 0;  ///< cumulative arena spills (0 = clean)
-  double trader_dual = 0.0;  ///< TradingPolicy::dual_value() after feedback
-  double buy = 0.0, sell = 0.0;              ///< executed z^t, w^t
-  double buy_price = 0.0, sell_price = 0.0;  ///< quote c^t, r^t
-  double emission = 0.0;    ///< e^t
-  double balance = 0.0;     ///< allowance balance after the slot
-  double carbon_cap = 0.0;  ///< R of the scenario
-  double inference_cost = 0.0, switching_cost = 0.0, trading_cost = 0.0;
-  double accuracy = 0.0, workload = 0.0;
 };
 
 /// Per-slot decision observer, attached via SlotEngine::set_observer.
 /// `tenant` is the index the driver passed to set_observer, so one observer
-/// can serve several engines (ServeController attaches the daemon's to
-/// every tenant). Called synchronously on the engine-driving thread at a
-/// pool-quiescent point; must not call back into the engine. Observational
-/// only: the engine's arithmetic is identical with or without an observer
-/// attached.
+/// can serve several engines (ServeController::set_observer attaches one
+/// to every tenant). Called synchronously on the engine-driving thread at
+/// a pool-quiescent point; must not call back into the engine.
+/// Observational only: the engine's arithmetic is identical with or
+/// without an observer attached. State the observer keeps across slots
+/// travels in the serving controller's checkpoint as one opaque record; a
+/// stateless observer keeps the defaults.
 class SlotObserver {
  public:
   virtual ~SlotObserver() = default;
   virtual void on_tenant_slot(std::size_t tenant,
                               const SlotObservation& observed) = 0;
+  /// The observer's state at a slot boundary, in bytes load_state
+  /// accepts; empty when it keeps none.
+  virtual std::string save_state() const { return {}; }
+  /// Resume from bytes save_state() wrote. They are empty when the
+  /// checkpoint was written with no observer or a stateless one. Throws
+  /// util::StateError on bytes it cannot parse.
+  virtual void load_state(std::string_view state) { (void)state; }
 };
 
 class SlotEngine {

@@ -519,8 +519,8 @@ enum class Publish {
   const int saved = errno;
   if (fd >= 0) ::close(fd);
   ::unlink(temp_path.c_str());
-  throw StateError(std::string("checkpoint: ") + what + " " + subject +
-                   ": " + std::strerror(saved));
+  throw StateError(std::string(what) + " " + subject + ": " +
+                   std::strerror(saved));
 }
 
 /// Open the temp file. With `reuse` an existing one keeps its pages (no
@@ -546,7 +546,7 @@ int open_temp(const std::string& temp_path, bool reuse) {
     fd = ::open(temp_path.c_str(), kCreate, 0644);
   }
   if (fd < 0) {
-    throw StateError("checkpoint: cannot open " + temp_path + ": " +
+    throw StateError("cannot open " + temp_path + ": " +
                      std::strerror(errno));
   }
   return fd;
@@ -690,8 +690,7 @@ void write_checkpoint_file(const std::string& path,
 std::string read_file_bytes(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
-    throw StateError("checkpoint: cannot open " + path + ": " +
-                     std::strerror(errno));
+    throw StateError("cannot open " + path + ": " + std::strerror(errno));
   }
   // Read straight into the result, sized from fstat (+1 so the EOF read
   // needs no regrowth); grow by doubling if the file is longer.
@@ -708,7 +707,7 @@ std::string read_file_bytes(const std::string& path) {
       if (errno == EINTR) continue;
       const int saved = errno;
       ::close(fd);
-      throw StateError("checkpoint: read failed on " + path + ": " +
+      throw StateError("read failed on " + path + ": " +
                        std::strerror(saved));
     }
     if (n == 0) break;

@@ -8,11 +8,17 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "json_parser.h"
 
 namespace cea::obs {
 namespace {
@@ -256,6 +262,74 @@ TEST_F(JournalDirTest, DetectsMissingMiddleSegment) {
   std::remove(segment_path(dir_, 1).c_str());
   // A hole in the segment numbering means lost records, not a prefix.
   EXPECT_FALSE(verify_journal(dir_).ok);
+}
+
+/// Split one CSV line into its cells, undoing RFC 4180 quoting.
+std::vector<std::string> csv_cells(std::string_view line) {
+  std::vector<std::string> cells(1);
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted && c == '"' && i + 1 < line.size() && line[i + 1] == '"') {
+      cells.back() += '"';
+      ++i;
+    } else if (c == '"') {
+      quoted = !quoted;
+    } else if (c == ',' && !quoted) {
+      cells.emplace_back();
+    } else {
+      cells.back() += c;
+    }
+  }
+  return cells;
+}
+
+/// Run journal_query over `dir` with `--format format` and return what
+/// it wrote.
+std::string query_export(const std::string& dir, const std::string& format) {
+  const std::string out = dir + "." + format;
+  const std::string command = std::string("'") + CEA_JOURNAL_QUERY + "' '" +
+                              dir + "' --format " + format + " --out '" +
+                              out + "'";
+  EXPECT_EQ(std::system(command.c_str()), 0) << command;
+  std::ifstream in(out);
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  std::remove(out.c_str());
+  return text;
+}
+
+TEST_F(JournalDirTest, QueryExportsQuoteTenantNames) {
+  // The journal takes any tenant name without whitespace or '#', so
+  // journal_query's CSV and JSON exports must quote a ',' or a '"' in one.
+  const std::string tenant = "a\"b,c";
+  {
+    JournalWriter writer(dir_);
+    JournalRecord slot = sample_slot_record();
+    slot.tenant = tenant;
+    writer.append(slot);
+    JournalRecord alert = sample_alert_record();
+    alert.tenant = tenant;
+    writer.append(alert);
+    writer.seal();
+  }
+  std::istringstream csv(query_export(dir_, "csv"));
+  std::vector<std::vector<std::string>> rows;
+  for (std::string line; std::getline(csv, line);) {
+    rows.push_back(csv_cells(line));
+    EXPECT_EQ(rows.back().size(), 23u) << line;
+  }
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[1][1], tenant);
+  EXPECT_EQ(rows[2][1], tenant);
+
+  const JsonValue json = parse_json(query_export(dir_, "json"));
+  ASSERT_EQ(json.array.size(), 2u);
+  EXPECT_EQ(json.array[0].at("kind").string, "slot");
+  EXPECT_EQ(json.array[1].at("kind").string, "alert");
+  for (const JsonValue& record : json.array) {
+    EXPECT_EQ(record.at("tenant").string, tenant);
+  }
 }
 
 TEST_F(JournalDirTest, IgnoresForeignFilesInDirectory) {

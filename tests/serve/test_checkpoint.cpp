@@ -321,7 +321,7 @@ TEST(CheckpointRoundTrip, RestoresAcrossObserverKinds) {
   record(reference, reference_series);
   drive(reference, feed, kHorizon);
 
-  struct Stateless final : TenantSlotObserver {
+  struct Stateless final : sim::SlotObserver {
     void on_tenant_slot(std::size_t, const sim::SlotObservation&) override {}
   };
   enum class Writer { kNone, kStateless, kDaemon };

@@ -34,7 +34,7 @@ TenantSpec make_spec(const std::string& name, std::size_t edges,
 
 // Every observation as one line of exact values (the counts span aliases
 // engine scratch, so it is copied out here).
-class ObservationLog final : public TenantSlotObserver {
+class ObservationLog final : public sim::SlotObserver {
  public:
   void on_tenant_slot(std::size_t tenant,
                       const sim::SlotObservation& o) override {

@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -287,27 +288,32 @@ TEST_F(DirectoryTailTest, PartiallyPublishedTmpFileStaysPending) {
   std::remove((dir_ + "/slot_0.csv.tmp").c_str());
 }
 
-TEST_F(DirectoryTailTest, FailedWriteIsNotPublished) {
-  // A producer whose disk is full must throw and publish nothing: a count
-  // line cut mid-number would parse as a valid, wrong count. The temp
-  // file is a symlink to /dev/full, where every write fails with ENOSPC.
-  struct stat device {};
-  if (::stat("/dev/full", &device) != 0) {
-    GTEST_SKIP() << "/dev/full is not available on this host";
-  }
+TEST_F(DirectoryTailTest, SymlinkedTempIsNeverWrittenThrough) {
+  // A stale slot_<t>.csv.tmp that links elsewhere (here an operator's
+  // notes) is dropped, never written through, and the published slot file
+  // is a regular file of its own.
   DirectoryTailFeed feed(dir_, 2);
+  const std::string notes = dir_ + "/notes.txt";
   const std::string tmp = feed.slot_path(0) + ".tmp";
+  write_file("notes.txt", "keep me\n");
   ::unlink(tmp.c_str());  // left by an interrupted earlier run
-  ASSERT_EQ(::symlink("/dev/full", tmp.c_str()), 0);
+  ASSERT_EQ(::symlink(notes.c_str(), tmp.c_str()), 0);
   SlotInput input;
   input.quote = {8.0, 7.0};
-  input.workload = {123456789, 987654321};
-  EXPECT_THROW(DirectoryTailFeed::publish_slot(feed, 0, input),
-               std::runtime_error);
-  struct stat left {};
-  EXPECT_NE(::lstat(feed.slot_path(0).c_str(), &left), 0)
-      << "a failed write was published";
-  EXPECT_NE(::lstat(tmp.c_str(), &left), 0) << "the temp file was left";
+  input.workload = {12, 34};
+  DirectoryTailFeed::publish_slot(feed, 0, input);
+
+  std::ifstream kept(notes);
+  const std::string contents((std::istreambuf_iterator<char>(kept)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_EQ(contents, "keep me\n");
+  struct stat published {};
+  ASSERT_EQ(::lstat(feed.slot_path(0).c_str(), &published), 0);
+  EXPECT_TRUE(S_ISREG(published.st_mode));
+  SlotInput got;
+  ASSERT_EQ(feed.poll(0, got), FeedStatus::kReady);
+  EXPECT_EQ(got.workload, input.workload);
+  std::remove(notes.c_str());
   ::unlink(tmp.c_str());
 }
 

@@ -907,6 +907,27 @@ TEST_F(CheckpointFileTest, DirectoryAtCheckpointPathIsNeverMoved) {
   ::rmdir(path_.c_str());
 }
 
+TEST(StateIo, IoErrorsNameTheOperationAndThePathOnly) {
+  // The metrics page and journal segments are published and read by the
+  // same code as checkpoints, so an I/O error must not call them one.
+  const std::string page = ::testing::TempDir() + "cea_no_such_dir/m.prom";
+  for (const bool reading : {false, true}) {
+    SCOPED_TRACE(reading ? "read_file_bytes" : "write_file_atomic");
+    try {
+      if (reading) {
+        read_file_bytes(page);
+      } else {
+        write_file_atomic(page, "cea_up 1\n");
+      }
+      ADD_FAILURE() << "a missing directory was not reported";
+    } catch (const StateError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("cannot open " + page), std::string::npos) << what;
+      EXPECT_EQ(what.find("checkpoint"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST_F(CheckpointFileTest, TempHoldsThePreviousCheckpointAfterAnExchange) {
   // The name switch is an exchange, not a rename that frees the replaced
   // file: after a second write the temp name holds the first checkpoint.

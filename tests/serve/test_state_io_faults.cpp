@@ -1,7 +1,7 @@
 // Fault and crash tests for the checkpoint writer's sequence
-// (util::write_checkpoint_file; DESIGN.md §11 "Publication"), and for a
+// (util::write_checkpoint_file; DESIGN.md §11 "Publication"), for a
 // checkpoint that fails inside a pooled daemon's slot tail (§11 "Slot
-// tail").
+// tail"), and for a feed slot file whose write fails.
 //
 // This executable replaces fsync, renameat2 and pwrite the way
 // perfserve/perf_serve.cpp replaces fsync: the library's calls resolve to
@@ -25,6 +25,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,7 @@ struct Plan {
   std::string fail_sync_of;      ///< fsync of the file now at this path: EIO
   bool fail_dir_sync = false;    ///< fsync of a directory: EIO
   bool refuse_exchange = false;  ///< RENAME_EXCHANGE: EINVAL
+  bool fail_write = false;       ///< pwrite: ENOSPC
   std::size_t crash_at = 0;      ///< _exit inside this call (1-based)
   bool crash_after = false;      ///< ... once it is made, not before
   std::vector<Call>* log = nullptr;  ///< every call, when set (g_log_mutex)
@@ -126,6 +128,10 @@ extern "C" int renameat2(int old_dir, const char* old_path, int new_dir,
 extern "C" ssize_t pwrite(int fd, const void* bytes, size_t count,
                           off_t offset) {
   const bool crash = crash_here(Call::kPwrite);
+  if (g_plan.fail_write) {
+    errno = ENOSPC;
+    return -1;
+  }
   // A crash before the write completes: half of its bytes land.
   const size_t n = crash && !g_plan.crash_after ? count / 2 : count;
   const ssize_t result = ::syscall(SYS_pwrite64, fd, bytes, n, offset);
@@ -205,6 +211,30 @@ TEST_F(PublishFaults, RefusedExchangeFallsBackToRename) {
     EXPECT_EQ(checkpoint(), payload);
     EXPECT_FALSE(exists(temp()));  // the rename freed the replaced file
   }
+}
+
+TEST_F(PublishFaults, FailedFeedSlotWriteIsNotPublished) {
+  // A feed producer whose disk is full must throw and publish nothing: a
+  // count line cut mid-number would parse as a valid, wrong count.
+  const std::string dir = path_ + "_feed";
+  ::mkdir(dir.c_str(), 0755);
+  const serve::DirectoryTailFeed feed(dir, 2);
+  const std::string slot_file = feed.slot_path(0);
+  serve::SlotInput input;
+  input.quote = {8.0, 7.0};
+  input.workload = {123456789, 987654321};
+  g_plan.fail_write = true;
+  EXPECT_THROW(serve::DirectoryTailFeed::publish_slot(feed, 0, input),
+               std::runtime_error);
+  g_plan.fail_write = false;
+  struct stat left {};
+  EXPECT_NE(::lstat(slot_file.c_str(), &left), 0)
+      << "a failed write was published";
+  EXPECT_NE(::lstat((slot_file + ".tmp").c_str(), &left), 0)
+      << "the temp file was left";
+  std::remove(slot_file.c_str());
+  std::remove((slot_file + ".tmp").c_str());
+  ::rmdir(dir.c_str());
 }
 
 TEST_F(PublishFaults, CrashAtEveryCallLeavesTheNewOrThePreviousCheckpoint) {

@@ -59,22 +59,6 @@ TEST(FleetEngine, TenThousandEdgesSerialVsPooledBitIdentical) {
   EXPECT_EQ(pooled.arena_overflows, 0u);
 }
 
-TEST(FleetEngine, ShardGrainDoesNotChangeResults) {
-  // edge_shard_grain is purely a scheduling knob: the serial edge-ordered
-  // reduction makes every grain (including grain >= num_edges, which runs
-  // as one shard) bit-identical.
-  const auto env = fleet_environment(300);
-  const auto combo = ours_combo();
-  const auto reference = run_combo(env, combo, 5);
-  util::ThreadPool pool(3);
-  for (std::size_t grain : {std::size_t{1}, std::size_t{7}, std::size_t{64},
-                            std::size_t{1000}}) {
-    const auto sharded = run_combo_pooled(env, combo, 5, &pool, grain);
-    expect_bit_identical(reference, sharded);
-    EXPECT_EQ(sharded.arena_overflows, 0u) << "grain " << grain;
-  }
-}
-
 TEST(FleetEngine, HeavyTailWorkloadSerialVsPooledBitIdentical) {
   // The keyed heavy-tailed generator drives the engine the same way the
   // diurnal one does; pooled execution stays bit-identical under it.
