@@ -2,11 +2,10 @@
 // distribution; Tsallis-INF's selling point is that it is simultaneously
 // optimal in stochastic AND adversarial regimes. This bench injects an
 // abrupt quality flip (SimConfig::loss_shift_slot) and measures how each
-// model-selection policy recovers — stochastic-only learners (UCB2,
-// Thompson) have concentrated confidence/posteriors that resist revision.
+// model-selection policy recovers — a stochastic-only learner (UCB2) has
+// concentrated confidence bounds that resist revision.
 #include <cstdio>
 
-#include "bandit/thompson.h"
 #include "bandit/tsallis_inf.h"
 #include "bandit/ucb2.h"
 #include "bench_common.h"
@@ -40,9 +39,6 @@ int main(int argc, char** argv) {
        core::BlockedTsallisFleetPolicy::discounted_factory(0.9),
        core::OnlineCarbonTrader::factory()},
       {"UCB2-PD", bandit::adapt_per_edge(bandit::Ucb2Policy::factory()),
-       core::OnlineCarbonTrader::factory()},
-      {"Thompson-PD",
-       bandit::adapt_per_edge(bandit::ThompsonSamplingPolicy::factory()),
        core::OnlineCarbonTrader::factory()},
       {"TINF-PD", bandit::adapt_per_edge(bandit::TsallisInfPolicy::factory()),
        core::OnlineCarbonTrader::factory()},

@@ -5,16 +5,11 @@
 // v_{i,n}, at slightly worse loss. The controller can then trade accuracy
 // against carbon — this bench measures what that buys.
 //
-// The int8 arm is REAL end to end: it runs the quantized compute path
-// (ComputeBackend::kGemmInt8 — gemm::multiply_i8 through a QuantizedModel
-// twin built from a checkpoint round-trip), so both its accuracy and its
-// energy discount are measured, not assumed. The v_{i,n} discount is the
-// measured int8/fp32 forward-pass time ratio on this machine — a
-// time-per-sample proxy for energy-per-sample (same hardware, same power
-// envelope). The int4 arm stays SIMULATED (fake-quantized weights through
-// the fp32 path at a Horowitz-style 0.15x per-MAC energy guess): there are
-// no int4 kernels, so it has no measurable time.
-#include <chrono>
+// Both quantized arms are fake-quantized (nn::quantize_model rounds the
+// weights onto per-channel int grids and the fp32 path runs them), so
+// their accuracy is measured while their v_{i,n} discount is SIMULATED:
+// Horowitz-style per-MAC energy guesses of 0.25x (int8) and 0.15x (int4),
+// labelled "simulated" in the table and CSV.
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -25,27 +20,11 @@
 #include "bench_common.h"
 #include "data/loss_profile.h"
 #include "data/synthetic_dataset.h"
-#include "nn/gemm.h"
 #include "nn/quantize.h"
 #include "nn/serialize.h"
 #include "nn/train.h"
 #include "nn/zoo.h"
 #include "util/table.h"
-
-namespace {
-
-/// Mean seconds per forward pass of `batch`, after one warmup pass.
-double time_forward(cea::nn::Sequential& model, const cea::nn::Tensor& batch,
-                    std::size_t reps) {
-  model.forward(batch);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < reps; ++r) model.forward(batch);
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-             .count() /
-         static_cast<double>(reps);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   auto telemetry = cea::bench::TelemetrySession::from_args(argc, argv);
@@ -54,18 +33,15 @@ int main(int argc, char** argv) {
   const std::size_t runs = bench::num_runs();
   std::printf("Extension — quantization-aware carbon control (%zu-run avg)\n",
               runs);
-  std::printf("Training 4 float models, deriving int8 (measured) and int4 "
-              "(simulated) variants...\n");
+  std::printf("Training 4 float models, deriving fake-quantized int8 and "
+              "int4 variants...\n");
 
   const data::SyntheticDistribution dist(data::mnist_like_spec());
   Rng data_rng(1);
   const data::Dataset train_set = dist.sample(800, data_rng);
   const data::Dataset test_set = dist.sample(400, data_rng);
 
-  // Factories so the int8 twin can be cloned through a checkpoint
-  // round-trip (load_model needs a same-architecture shell; the random
-  // init is immediately overwritten). cnn-16x32 is the paper's fig12
-  // model.
+  // cnn-16x32 is the paper's fig12 model.
   struct ZooEntry {
     const char* name;
     std::function<nn::Sequential(Rng&)> make;
@@ -95,12 +71,11 @@ int main(int argc, char** argv) {
   config.batch_size = 32;
   config.learning_rate = 0.05f;
 
-  const double int4_discount = 0.15;  // simulated: no int4 kernels exist
-  const std::size_t timing_reps = std::getenv("CEA_BENCH_SMOKE") ? 2 : 10;
-  nn::Tensor timing_batch({64, 1, 28, 28});
-  Rng timing_rng(3);
-  for (auto& v : timing_batch.data())
-    v = static_cast<float>(timing_rng.uniform());
+  // Simulated per-sample energy discounts of the quantized arms.
+  const struct {
+    std::size_t bits;
+    double discount;
+  } arms[] = {{8, 0.25}, {4, 0.15}};
 
   std::vector<data::LossProfile> float_profiles;
   std::vector<double> float_energy_list;
@@ -133,55 +108,24 @@ int main(int argc, char** argv) {
         "bench_out/quant_tmp_" + model.name() + ".bin";
     nn::save_model(model, checkpoint);
 
-    // --- int8 arm: QuantizedModel twin, measured accuracy AND discount.
-    {
-      Rng clone_rng(0);
-      nn::Sequential shell = entry.make(clone_rng);
-      nn::load_model(shell, checkpoint);
-      nn::QuantizedModel twin(std::move(shell));
-      const double fp32_time = time_forward(model, timing_batch, timing_reps);
-      double int8_time;
-      {
-        nn::ScopedComputeBackend scoped(nn::ComputeBackend::kGemmInt8);
-        int8_time = time_forward(twin.model(), timing_batch, timing_reps);
-      }
-      const double discount = int8_time / fp32_time;
-      data::LossProfile profile;
-      {
-        nn::ScopedComputeBackend scoped(nn::ComputeBackend::kGemmInt8);
-        profile = data::profile_model(twin.model(), test_set, 64,
-                                      twin.size_mb());
-      }
+    // Each quantized arm rounds the float weights in place, is profiled
+    // through the fp32 path, and the checkpoint restores the float weights.
+    for (const auto& arm : arms) {
+      const std::string suffix = "-int" + std::to_string(arm.bits);
+      const auto report = nn::quantize_model(model, arm.bits);
+      auto profile = data::profile_model(model, test_set, 64, report.size_mb);
       const double delta_pp = (float_accuracy - profile.accuracy()) * 100.0;
-      std::printf("  %-12s int8: size %.3f MB, accuracy %.3f (float %.3f, "
-                  "delta %+.2f pp), measured v discount %.3fx\n",
-                  twin.name().c_str(), twin.size_mb(), profile.accuracy(),
-                  float_accuracy, -delta_pp, discount);
-      arm_rows.push_back({twin.name(), twin.size_mb(), profile.accuracy(),
-                          delta_pp, discount, "measured"});
-      extended_profiles.push_back(std::move(profile));
-      extended_energy_list.push_back(entry.float_energy * discount);
-    }
-
-    // --- int4 arm: fake-quantized weights through the fp32 path,
-    // simulated per-MAC energy discount.
-    {
-      const auto report = nn::quantize_model(model, 4);
-      auto profile = data::profile_model(model, test_set, 64,
-                                         nn::quantized_size_mb(model, 4));
-      const double delta_pp = (float_accuracy - profile.accuracy()) * 100.0;
-      std::printf("  %-12s int4: size %.3f MB, accuracy %.3f (float %.3f, "
+      std::printf("  %-12s int%zu: size %.3f MB, accuracy %.3f (float %.3f, "
                   "delta %+.2f pp), simulated v discount %.2fx, max err "
                   "%.4f\n",
-                  model.name().c_str(), report.size_mb, profile.accuracy(),
-                  float_accuracy, -delta_pp, int4_discount,
-                  report.max_abs_error);
-      arm_rows.push_back({model.name() + "-int4",
-                          nn::quantized_size_mb(model, 4),
-                          profile.accuracy(), delta_pp, int4_discount,
+                  model.name().c_str(), arm.bits, report.size_mb,
+                  profile.accuracy(), float_accuracy, -delta_pp,
+                  arm.discount, report.max_abs_error);
+      arm_rows.push_back({model.name() + suffix, report.size_mb,
+                          profile.accuracy(), delta_pp, arm.discount,
                           "simulated"});
       extended_profiles.push_back(std::move(profile));
-      extended_energy_list.push_back(entry.float_energy * int4_discount);
+      extended_energy_list.push_back(entry.float_energy * arm.discount);
       nn::load_model(model, checkpoint);  // restore float weights
     }
     std::remove(checkpoint.c_str());
@@ -234,8 +178,7 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\nExpected: the extended zoo gives the controller cheaper "
               "low-energy arms, cutting emissions and total cost at little "
-              "accuracy loss. The int8 rows are measured end to end "
-              "(kGemmInt8 accuracy, timed v discount; target: accuracy "
-              "delta <= 0.5 pp); int4 stays a simulated what-if.\n");
+              "accuracy loss. Accuracies are measured on fake-quantized "
+              "weights; the v discounts are a simulated what-if.\n");
   return 0;
 }

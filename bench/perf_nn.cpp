@@ -7,16 +7,6 @@
 //              products, dense products), for the scalar reference
 //              micro-kernel, each SIMD variant the machine supports, and
 //              the active variant on the shared thread pool;
-//   gemm_i8/* — the quantized inference path (gemm::multiply_i8: fused
-//              quantize -> u8·s8 dot -> dequantize+bias) on the same
-//              shapes, for scalar / AVX2 maddubs / AVX-512 VNNI / pooled.
-//              Weight packing runs once outside the timing loop (panels
-//              are cached per layer in deployment); rates count the same
-//              2mnk ops as the fp32 rows so the speedup reads directly.
-//              Before benchmarking, every int8 mode is cross-checked
-//              bitwise against the scalar serial kernel on every shape —
-//              a mismatch fails the binary with exit 1 (CI runs this in
-//              smoke mode as a cheap determinism gate);
 //   train/*  — one fig12-style training epoch of mnist-cnn-16x32 on a
 //              synthetic batch stream, in three modes:
 //                seed_reference — the original per-element layer loops,
@@ -31,11 +21,8 @@
 // every benchmark for exactly one iteration (the bench_smoke ctest label).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -114,133 +101,6 @@ void run_gemm_benchmark(benchmark::State& state, const GemmShape& shape,
                        static_cast<double>(state.iterations());
   state.counters["gflops"] =
       benchmark::Counter(flops * 1e-9, benchmark::Counter::kIsRate);
-}
-
-// ---------------------------------------------------------- gemm_i8/*
-
-// Int8 kernel variant names differ from fp32: the AVX-512 kernel needs
-// VNNI, and plain-AVX-512 machines fall back to AVX2.
-std::vector<GemmMode> available_i8_modes() {
-  std::vector<GemmMode> modes = {{"scalar", Variant::kScalar, false}};
-  if (util::have_avx2()) modes.push_back({"avx2", Variant::kAvx2, false});
-  if (util::have_avx512_vnni())
-    modes.push_back({"avx512vnni", Variant::kAvx512, false});
-  modes.push_back({"pooled", nn::gemm::active_variant_i8(), true});
-  return modes;
-}
-
-struct I8Operands {
-  std::vector<float> a, bias;
-  nn::gemm::Int8PackedB panel;
-};
-
-I8Operands make_i8_operands(const GemmShape& shape) {
-  Rng rng(42);
-  I8Operands o;
-  o.a.resize(shape.m * shape.k);
-  std::vector<float> b(shape.k * shape.n);
-  o.bias.resize(shape.n);
-  for (auto& v : o.a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (auto& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (auto& v : o.bias) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  o.panel = nn::gemm::pack_b_i8(b.data(), shape.n, Op::kNone, shape.k,
-                                shape.n);
-  return o;
-}
-
-void run_gemm_i8_benchmark(benchmark::State& state, const GemmShape& shape,
-                           const GemmMode& mode) {
-  const I8Operands o = make_i8_operands(shape);
-  std::vector<float> c(shape.m * shape.n);
-  util::ThreadPool* pool = mode.pooled ? &util::ThreadPool::global() : nullptr;
-
-  for (auto _ : state) {
-    nn::gemm::multiply_i8_variant(mode.variant, o.a.data(), shape.k,
-                                  Op::kNone, o.panel, o.bias.data(), c.data(),
-                                  shape.n, shape.m, shape.n, shape.k, pool);
-    benchmark::DoNotOptimize(c.data());
-    benchmark::ClobberMemory();
-  }
-  // Same 2mnk op count as the fp32 rows (one 8-bit MAC per fp32 MAC), so
-  // gemm_i8 and gemm rates compare directly.
-  const double flops = 2.0 * static_cast<double>(shape.m) *
-                       static_cast<double>(shape.n) *
-                       static_cast<double>(shape.k) *
-                       static_cast<double>(state.iterations());
-  state.counters["gflops"] =
-      benchmark::Counter(flops * 1e-9, benchmark::Counter::kIsRate);
-}
-
-/// Determinism gate: every available int8 mode (SIMD variants and the
-/// pooled run) must reproduce the scalar serial result bit-for-bit on
-/// every bench shape. Returns false on the first mismatch.
-bool verify_i8_identity() {
-  for (const GemmShape& shape : kShapes) {
-    const I8Operands o = make_i8_operands(shape);
-    std::vector<float> want(shape.m * shape.n);
-    nn::gemm::multiply_i8_variant(Variant::kScalar, o.a.data(), shape.k,
-                                  Op::kNone, o.panel, o.bias.data(),
-                                  want.data(), shape.n, shape.m, shape.n,
-                                  shape.k, nullptr);
-    for (const GemmMode& mode : available_i8_modes()) {
-      std::vector<float> got(shape.m * shape.n);
-      nn::gemm::multiply_i8_variant(
-          mode.variant, o.a.data(), shape.k, Op::kNone, o.panel,
-          o.bias.data(), got.data(), shape.n, shape.m, shape.n, shape.k,
-          mode.pooled ? &util::ThreadPool::global() : nullptr);
-      if (std::memcmp(want.data(), got.data(),
-                      want.size() * sizeof(float)) != 0) {
-        std::fprintf(stderr,
-                     "FATAL: int8 mode %s diverges bitwise from scalar on "
-                     "%s (%zux%zux%zu)\n",
-                     mode.name, shape.name, shape.m, shape.n, shape.k);
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-/// Accuracy row: fp32 vs int8 forward of the fig12 CNN on a synthetic
-/// batch — top-1 agreement fraction and worst logit delta. The real
-/// accuracy-vs-cost tradeoff (trained model, held-out stream) lives in
-/// bench/ext_quantization; this row just pins that the int8 path is close
-/// enough that the dispatcher's model ranking survives quantization.
-struct I8AccuracyRow {
-  double top1_agreement = 0.0;
-  double max_logit_delta = 0.0;
-};
-
-I8AccuracyRow measure_i8_accuracy() {
-  Rng rng(42);
-  nn::Sequential model =
-      nn::make_simple_cnn("perf-cnn", nn::mnist_spec(), 16, 32, rng);
-  model.set_training(false);
-  const std::size_t batch_size = smoke_mode() ? 8 : 64;
-  nn::Tensor batch({batch_size, 1, 28, 28});
-  Rng data_rng(7);
-  for (auto& v : batch.data()) v = static_cast<float>(data_rng.uniform());
-
-  const nn::Tensor fp32 = model.forward(batch);
-  const std::vector<std::size_t> fp32_top1 = model.predict(batch);
-  nn::Tensor int8;
-  std::vector<std::size_t> int8_top1;
-  {
-    nn::ScopedComputeBackend scoped(nn::ComputeBackend::kGemmInt8);
-    int8 = model.forward(batch);
-    int8_top1 = model.predict(batch);
-  }
-  I8AccuracyRow row;
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < batch_size; ++i)
-    agree += fp32_top1[i] == int8_top1[i];
-  row.top1_agreement =
-      static_cast<double>(agree) / static_cast<double>(batch_size);
-  for (std::size_t i = 0; i < fp32.size(); ++i)
-    row.max_logit_delta = std::max(
-        row.max_logit_delta,
-        static_cast<double>(std::abs(fp32[i] - int8[i])));
-  return row;
 }
 
 // ------------------------------------------------------------ train/*
@@ -339,7 +199,6 @@ const char* variant_name(Variant variant) {
 int main(int argc, char** argv) {
   const auto bench_start = std::chrono::steady_clock::now();
   auto telemetry = cea::bench::TelemetrySession::from_args(argc, argv);
-  if (!verify_i8_identity()) return 1;
   const std::vector<GemmMode> modes = available_modes();
   for (const GemmShape& shape : kShapes) {
     for (const GemmMode& mode : modes) {
@@ -349,19 +208,6 @@ int main(int argc, char** argv) {
           name.c_str(),
           [shape, mode](benchmark::State& state) {
             run_gemm_benchmark(state, shape, mode);
-          });
-      bench->Unit(benchmark::kMicrosecond)->UseRealTime();
-      if (smoke_mode()) bench->Iterations(1);
-    }
-  }
-  for (const GemmShape& shape : kShapes) {
-    for (const GemmMode& mode : available_i8_modes()) {
-      const std::string name =
-          std::string("gemm_i8/") + shape.name + "/" + mode.name;
-      auto* bench = benchmark::RegisterBenchmark(
-          name.c_str(),
-          [shape, mode](benchmark::State& state) {
-            run_gemm_i8_benchmark(state, shape, mode);
           });
       bench->Unit(benchmark::kMicrosecond)->UseRealTime();
       if (smoke_mode()) bench->Iterations(1);
@@ -404,33 +250,6 @@ int main(int argc, char** argv) {
                : it->second.first / static_cast<double>(it->second.second);
   };
 
-  // int8-vs-fp32 speedup at the SAME ISA (kernel-vs-kernel, no
-  // quantization hidden in the baseline), per shape. The ">= 2x" target
-  // from the ISSUE applies to the large-k dense shape, where there is
-  // enough inner product to amortize the activation quantization.
-  struct IsaPair {
-    const char* i8;
-    const char* fp32;
-  };
-  const IsaPair kIsaPairs[] = {
-      {"scalar", "scalar"}, {"avx2", "avx2"}, {"avx512vnni", "avx512"}};
-  std::vector<std::string> speedup_rows;
-  for (const GemmShape& shape : kShapes) {
-    std::string row = std::string("    {\"shape\": \"") + shape.name + "\"";
-    for (const IsaPair& pair : kIsaPairs) {
-      const double i8 =
-          mean_of(std::string("gemm_i8/") + shape.name + "/" + pair.i8);
-      const double fp32 =
-          mean_of(std::string("gemm/") + shape.name + "/" + pair.fp32);
-      if (i8 <= 0.0 || fp32 <= 0.0) continue;
-      row += std::string(", \"") + pair.i8 + "\": " +
-             std::to_string(i8 / fp32);
-    }
-    row += "}";
-    speedup_rows.push_back(std::move(row));
-  }
-  const I8AccuracyRow i8_accuracy = measure_i8_accuracy();
-
   const double seed_sps = mean_of("train/epoch_mnist_cnn_16x32/seed_reference");
   const double serial_sps = mean_of("train/epoch_mnist_cnn_16x32/gemm_serial");
   const double parallel_sps =
@@ -452,11 +271,6 @@ int main(int argc, char** argv) {
   json << "  \"pool_workers\": " << util::ThreadPool::global().size() << ",\n";
   json << "  \"active_variant\": \""
        << variant_name(nn::gemm::active_variant()) << "\",\n";
-  json << "  \"active_variant_i8\": \""
-       << (nn::gemm::active_variant_i8() == Variant::kAvx512
-               ? "avx512vnni"
-               : variant_name(nn::gemm::active_variant_i8()))
-       << "\",\n";
   json << "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < order.size(); ++i) {
     const bool train = order[i].rfind("train/", 0) == 0;
@@ -466,16 +280,6 @@ int main(int argc, char** argv) {
          << (i + 1 < order.size() ? "," : "") << "\n";
   }
   json << "  ],\n";
-  json << "  \"int8_speedup_vs_fp32_same_isa\": [\n";
-  for (std::size_t i = 0; i < speedup_rows.size(); ++i)
-    json << speedup_rows[i] << (i + 1 < speedup_rows.size() ? "," : "")
-         << "\n";
-  json << "  ],\n";
-  json << "  \"int8_speedup_target\": \">= 2x fp32 at the same ISA on "
-          "mnist_mlp256_fc1\",\n";
-  json << "  \"int8_fig12_accuracy\": {\"top1_agreement\": "
-       << i8_accuracy.top1_agreement
-       << ", \"max_logit_delta\": " << i8_accuracy.max_logit_delta << "},\n";
   json << "  \"train_epoch_speedup_vs_seed\": {\n";
   json << "    \"gemm_serial\": " << serial_speedup << ",\n";
   json << "    \"gemm_parallel\": " << parallel_speedup << ",\n";
@@ -485,22 +289,6 @@ int main(int argc, char** argv) {
   json << "}\n";
   json.close();
 
-  {
-    const char* i8_name = nn::gemm::active_variant_i8() == Variant::kAvx512
-                              ? "avx512vnni"
-                              : variant_name(nn::gemm::active_variant_i8());
-    const char* fp_name = variant_name(nn::gemm::active_variant());
-    const double i8 =
-        mean_of(std::string("gemm_i8/mnist_mlp256_fc1/") + i8_name);
-    const double fp32 =
-        mean_of(std::string("gemm/mnist_mlp256_fc1/") + fp_name);
-    if (i8 > 0.0 && fp32 > 0.0)
-      std::printf("\nint8 speedup on mnist_mlp256_fc1: %.2fx (%s %.1f vs %s "
-                  "%.1f GFLOP/s; target >= 2x same-ISA); fig12 top-1 "
-                  "agreement %.3f, max logit delta %.4f\n",
-                  i8 / fp32, i8_name, i8, fp_name, fp32,
-                  i8_accuracy.top1_agreement, i8_accuracy.max_logit_delta);
-  }
   if (seed_sps > 0.0) {
     std::printf("\ntrain-epoch speedup vs seed scalar path: gemm_serial "
                 "%.2fx (target >= 4x), gemm_parallel %.2fx (target >= 8x "

@@ -1,6 +1,6 @@
-// Overview "table": every algorithm combo of Section V plus Offline and the
-// library's extensions on the default paper scenario, ranked by settled
-// total cost, followed by a deep-dive report on Ours.
+// Overview "table": every algorithm combo of Section V plus Offline on the
+// default paper scenario, ranked by settled total cost, followed by a
+// deep-dive report on Ours.
 //
 // Each combo is additionally costed: wall time plus solver iteration
 // counters (tsallis.solves / tsallis.newton_iters / simplex.pivots)
@@ -17,9 +17,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/mpc_trader.h"
-#include "core/pooled_tsallis.h"
-#include "core/predictive_trader.h"
 #include "obs/telemetry.h"
 #include "sim/report.h"
 
@@ -67,8 +64,7 @@ int main(int argc, char** argv) {
   config.seed = 42;
   const auto env = sim::Environment::make_parametric(config);
 
-  std::printf("Summary — all combos + extensions on the default scenario "
-              "(%zu-run avg)\n\n",
+  std::printf("Summary — all combos on the default scenario (%zu-run avg)\n\n",
               runs);
 
   // The tsallis solver counters only record when detail is on (the
@@ -111,35 +107,6 @@ int main(int argc, char** argv) {
   }
   run_costed([&] { return sim::run_offline_averaged(env, runs, 7); },
              "Offline");
-  // Extensions (serial averaging for the stateful pooled factory).
-  run_costed(
-      [&] {
-        return sim::run_combo_averaged(
-            env,
-            {"Pooled-PD",
-             bandit::adapt_per_edge(core::pooled_tsallis_factory()),
-             sim::ours_combo().trader},
-            runs, 7);
-      },
-      "Pooled-PD");
-  run_costed(
-      [&] {
-        return sim::run_combo_averaged_parallel(
-            env,
-            {"Ours-MPC", sim::ours_combo().policy,
-             core::MpcCarbonTrader::factory()},
-            runs, 7);
-      },
-      "Ours-MPC");
-  run_costed(
-      [&] {
-        return sim::run_combo_averaged_parallel(
-            env,
-            {"Ours-Predict", sim::ours_combo().policy,
-             core::PredictiveCarbonTrader::factory()},
-            runs, 7);
-      },
-      "Ours-Predict");
 
   obs::set_detail(had_detail);
 

@@ -23,6 +23,7 @@
 // Exit codes: 0 success, 1 bad usage, 2 runtime failure, 3 corrupt or
 // inconsistent journal or checkpoint.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -47,8 +48,8 @@ struct Args {
   bool verify = false;
   std::string format = "csv";  // csv | json | trace
   std::string tenant;          // empty = all
-  std::size_t from_slot = 0;
-  std::size_t to_slot = static_cast<std::size_t>(-1);
+  std::uint64_t from_slot = 0;
+  std::uint64_t to_slot = static_cast<std::uint64_t>(-1);
   std::string out;  // empty = stdout (trace mode requires a path)
   std::string dump_checkpoint;  // checkpoint file to print; no directory
 };
@@ -64,6 +65,7 @@ bool parse_args(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     const char* v = nullptr;
+    bool ok = true;
     if (!std::strcmp(a, "--verify")) {
       args.verify = true;
     } else if (!std::strcmp(a, "--dump-checkpoint") && (v = need_value(i))) {
@@ -73,15 +75,19 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (!std::strcmp(a, "--tenant") && (v = need_value(i))) {
       args.tenant = v;
     } else if (!std::strcmp(a, "--from") && (v = need_value(i))) {
-      args.from_slot = std::stoul(v);
+      ok = util::parse_u64(v, args.from_slot);
     } else if (!std::strcmp(a, "--to") && (v = need_value(i))) {
-      args.to_slot = std::stoul(v);
+      ok = util::parse_u64(v, args.to_slot);
     } else if (!std::strcmp(a, "--out") && (v = need_value(i))) {
       args.out = v;
     } else if (a[0] != '-' && args.directory.empty()) {
       args.directory = a;
     } else {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", a);
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value for %s: %s\n", a, v);
       return false;
     }
   }
@@ -193,7 +199,8 @@ void write_json(FILE* out, const std::vector<obs::JournalRecord>& records,
 /// sim::write_trace_rows writes them, as serve_daemon writes its own.
 /// Duplicate (tenant, slot) records from checkpoint restores must be
 /// byte-identical (the later run re-executed the slot bit-exactly).
-/// Throws JournalError on differing duplicates or slot gaps.
+/// Throws JournalError on differing duplicates or slot gaps, and
+/// std::runtime_error when the file cannot be written.
 void write_trace(const std::vector<obs::JournalRecord>& records,
                  const std::string& path) {
   std::vector<std::string> order;
@@ -231,6 +238,7 @@ void write_trace(const std::vector<obs::JournalRecord>& records,
     sim::write_trace_rows(writer, order[i], recorder.result(i),
                           last.switches_total, last.balance);
   }
+  writer.close();
 }
 
 /// --dump-checkpoint: exit 2 when the file cannot be read, 3 when its
@@ -306,7 +314,16 @@ int main(int argc, char** argv) {
       if (out != stdout) std::fclose(out);
       return 1;
     }
-    if (out != stdout) std::fclose(out);
+    // A full disk shows only here: stdio buffers the rows, and the flush
+    // (or close) is the write that fails.
+    const bool write_failed = std::ferror(out) != 0;
+    const bool close_failed =
+        out == stdout ? std::fflush(out) != 0 : std::fclose(out) != 0;
+    if (write_failed || close_failed) {
+      std::fprintf(stderr, "journal_query: cannot write %s\n",
+                   args.out.empty() ? "stdout" : args.out.c_str());
+      return 2;
+    }
     return 0;
   } catch (const obs::JournalError& e) {
     std::fprintf(stderr, "journal_query: %s\n", e.what());

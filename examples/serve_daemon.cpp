@@ -21,9 +21,12 @@
 // Exit codes: 0 success, 1 bad usage, 2 runtime failure, 3 success but
 // the carbon-SLO watchdog raised at least one alert.
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,6 +37,7 @@
 #include "sim/experiment.h"
 #include "sim/series_recorder.h"
 #include "util/csv.h"
+#include "util/numio.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -72,6 +76,32 @@ struct Args {
   std::size_t slo_deadline_ms = 0;
 };
 
+// Flag values parse in full or not at all: no sign on a count, no
+// trailing garbage, no overflow, and only finite doubles.
+bool parse_count(const char* v, std::size_t& out) {
+  std::uint64_t value = 0;
+  if (!util::parse_u64(v, value)) return false;
+  out = static_cast<std::size_t>(value);
+  return true;
+}
+
+bool parse_int(const char* v, int& out) {
+  std::int64_t value = 0;
+  if (!util::parse_i64(v, value) ||
+      value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max())
+    return false;
+  out = static_cast<int>(value);
+  return true;
+}
+
+bool parse_real(const char* v, double& out) {
+  double value = 0.0;
+  if (!util::parse_double(v, value) || !std::isfinite(value)) return false;
+  out = value;
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Args& args) {
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -83,12 +113,13 @@ bool parse_args(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     const char* v = nullptr;
+    bool ok = true;
     if (!std::strcmp(a, "--tenants") && (v = need_value(i))) {
-      args.tenants = std::stoul(v);
+      ok = parse_count(v, args.tenants);
     } else if (!std::strcmp(a, "--edges") && (v = need_value(i))) {
-      args.edges = std::stoul(v);
+      ok = parse_count(v, args.edges);
     } else if (!std::strcmp(a, "--slots") && (v = need_value(i))) {
-      args.slots = std::stoul(v);
+      ok = parse_count(v, args.slots);
     } else if (!std::strcmp(a, "--combo") && (v = need_value(i))) {
       args.combo = v;
     } else if (!std::strcmp(a, "--feed") && (v = need_value(i))) {
@@ -102,45 +133,49 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (!std::strcmp(a, "--checkpoint") && (v = need_value(i))) {
       args.checkpoint = v;
     } else if (!std::strcmp(a, "--checkpoint-every") && (v = need_value(i))) {
-      args.checkpoint_every = std::stoul(v);
+      ok = parse_count(v, args.checkpoint_every);
     } else if (!std::strcmp(a, "--restore")) {
       args.restore = true;
     } else if (!std::strcmp(a, "--stop-after") && (v = need_value(i))) {
-      args.stop_after = std::stoul(v);
+      ok = parse_count(v, args.stop_after);
     } else if (!std::strcmp(a, "--slot-delay-ms") && (v = need_value(i))) {
-      args.slot_delay_ms = std::stoul(v);
+      ok = parse_count(v, args.slot_delay_ms);
     } else if (!std::strcmp(a, "--trace-out") && (v = need_value(i))) {
       args.trace_out = v;
     } else if (!std::strcmp(a, "--market-cap") && (v = need_value(i))) {
-      args.market_cap = std::stod(v);
+      ok = parse_real(v, args.market_cap);
     } else if (!std::strcmp(a, "--mean") && (v = need_value(i))) {
-      args.mean_samples = std::stod(v);
+      ok = parse_real(v, args.mean_samples);
     } else if (!std::strcmp(a, "--seed") && (v = need_value(i))) {
-      args.seed = std::stoull(v);
+      ok = util::parse_u64(v, args.seed);
     } else if (!std::strcmp(a, "--pooled")) {
       args.pooled = true;
     } else if (!std::strcmp(a, "--journal") && (v = need_value(i))) {
       args.journal_dir = v;
     } else if (!std::strcmp(a, "--journal-every") && (v = need_value(i))) {
-      args.journal_every = std::stoul(v);
+      ok = parse_count(v, args.journal_every);
     } else if (!std::strcmp(a, "--metrics-out") && (v = need_value(i))) {
       args.metrics_out = v;
     } else if (!std::strcmp(a, "--metrics-every") && (v = need_value(i))) {
-      args.metrics_every = std::stoul(v);
+      ok = parse_count(v, args.metrics_every);
     } else if (!std::strcmp(a, "--metrics-port") && (v = need_value(i))) {
-      args.metrics_port = std::stoi(v);
+      ok = parse_int(v, args.metrics_port);
     } else if (!std::strcmp(a, "--slo-window") && (v = need_value(i))) {
-      args.slo_window = std::stoul(v);
+      ok = parse_count(v, args.slo_window);
     } else if (!std::strcmp(a, "--slo-margin") && (v = need_value(i))) {
-      args.slo_margin = std::stod(v);
+      ok = parse_real(v, args.slo_margin);
     } else if (!std::strcmp(a, "--slo-min-balance") && (v = need_value(i))) {
-      args.slo_min_balance = std::stod(v);
+      ok = parse_real(v, args.slo_min_balance);
     } else if (!std::strcmp(a, "--slo-feed-stall-ms") && (v = need_value(i))) {
-      args.slo_feed_stall_ms = std::stoul(v);
+      ok = parse_count(v, args.slo_feed_stall_ms);
     } else if (!std::strcmp(a, "--slo-deadline-ms") && (v = need_value(i))) {
-      args.slo_deadline_ms = std::stoul(v);
+      ok = parse_count(v, args.slo_deadline_ms);
     } else {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", a);
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value for %s: %s\n", a, v);
       return false;
     }
   }
@@ -157,7 +192,8 @@ sim::AlgorithmCombo find_combo(const std::string& name) {
 /// Hex-exact per-tenant trace of the slots this process executed —
 /// byte-comparable across runs, and with journal_query --format trace,
 /// which writes the same rows from the journal (the kill/restore and
-/// observability gates `cmp` them).
+/// observability gates `cmp` them). Throws when the file cannot be
+/// written.
 void write_trace(serve::ServeController& controller,
                  const sim::SeriesRecorder& series, const std::string& path) {
   CsvWriter writer(path);
@@ -166,6 +202,7 @@ void write_trace(serve::ServeController& controller,
     sim::write_trace_rows(writer, controller.tenant_name(i), series.result(i),
                           engine.total_switches(), engine.allowance_balance());
   }
+  writer.close();
 }
 
 }  // namespace

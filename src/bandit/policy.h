@@ -89,8 +89,8 @@ struct TsallisSolveRequest {
 ///
 /// Only implement this when the solve's inputs are frozen at slot start:
 /// per-edge state written by the edge's own feedback qualifies; state
-/// shared across edges and mutated mid-slot (the pooled-learning
-/// extension's table) does not.
+/// shared across edges and mutated mid-slot would not, and no built-in
+/// policy shares state across edges.
 class TsallisBatchSolvable {
  public:
   virtual ~TsallisBatchSolvable() = default;

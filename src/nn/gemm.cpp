@@ -2,24 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "nn/gemm_kernels.h"
-#include "nn/quantize.h"
 #include "obs/telemetry.h"
 #include "util/cpu.h"
-
-// Baseline-ISA vector path for the dynamic activation quantizer. SSE2 is
-// part of the x86-64 ABI, so this needs no runtime dispatch — it is either
-// compiled in everywhere (one code path per build) or absent everywhere.
-#if defined(__SSE2__) || defined(_M_X64)
-#include <emmintrin.h>
-#define CEA_GEMM_SSE2 1
-#endif
 
 namespace cea::nn {
 namespace {
@@ -274,364 +262,6 @@ void multiply(const float* a, std::size_t lda, Op op_a, const float* b,
               util::ThreadPool* pool, bool accumulate) {
   multiply_variant(active_variant(), a, lda, op_a, b, ldb, op_b, c, ldc, m,
                    n, k, pool, accumulate);
-}
-
-// -------------------------------------------------------------------- int8
-
-namespace detail {
-
-void micro_kernel_i8_scalar(const std::uint8_t* a, std::size_t a_stride,
-                            const std::int8_t* b, std::size_t b_stride,
-                            std::size_t groups, const float* a_scales,
-                            const std::int32_t* a_zps, const float* b_scales,
-                            const std::int32_t* b_col_sums, const float* bias,
-                            float* c, std::size_t ldc, std::size_t rows,
-                            std::size_t cols) {
-  // The int8 reference chain: an exact i32 inner product over zero-padded
-  // K (so iteration order is irrelevant — unlike fp32 this kernel's
-  // semantics really are "the mathematical sum"), the exact zero-point
-  // correction, then the one pinned float sequence. SIMD kernels must
-  // land on identical bits, which the integer part gives for free and the
-  // epilogue gives by evaluating the same three float ops per element.
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::uint8_t* ar = a + r * a_stride;
-    float* cr = c + r * ldc;
-    for (std::size_t j = 0; j < cols; ++j) {
-      std::int32_t acc = 0;
-      for (std::size_t g = 0; g < groups; ++g) {
-        const std::int8_t* bg = b + g * b_stride + j * 4;
-        for (std::size_t t = 0; t < 4; ++t)
-          acc += static_cast<std::int32_t>(ar[g * 4 + t]) *
-                 static_cast<std::int32_t>(bg[t]);
-      }
-      const std::int32_t corr = acc - a_zps[r] * b_col_sums[j];
-      cr[j] = static_cast<float>(corr) * (a_scales[r] * b_scales[j]) + bias[j];
-    }
-  }
-}
-
-}  // namespace detail
-
-namespace {
-
-using detail::KernelDescI8;
-
-std::atomic<Variant> g_i8_cap{Variant::kAvx512};
-
-KernelDescI8 variant_desc_i8(Variant variant) noexcept {
-  switch (variant) {
-#if defined(__x86_64__)
-    case Variant::kAvx512:
-      return {detail::kAvx512I8Mr, detail::kAvx512I8Nr,
-              &detail::micro_kernel_i8_avx512vnni};
-    case Variant::kAvx2:
-      return {detail::kAvx2I8Mr, detail::kAvx2I8Nr,
-              &detail::micro_kernel_i8_avx2};
-#endif
-    default:
-      return {detail::kScalarI8Mr, detail::kScalarI8Nr,
-              &detail::micro_kernel_i8_scalar};
-  }
-}
-
-/// Per-row activation quantization parameters (see quantize_a_row).
-struct RowQuant {
-  float scale = 0.0f;
-  std::int32_t zp = 0;
-};
-
-/// Quantize row i of op_a(A) onto its own asymmetric 7-bit [0, 127] grid:
-/// range [min(0, min a), max(0, max a)] over finite entries (always
-/// containing 0 so a zero activation is exactly representable — ReLU
-/// outputs dominate this path), sa = range / 127, zp = round(-rmin / sa)
-/// clamped into the grid, a_q = clamp(round_half_away(a / sa) + zp, 0,
-/// 127). Non-finite activations map to zp (they dequantize to 0,
-/// mirroring the weight-side skip). A flat row (range == 0: every finite
-/// entry is exactly 0) gets scale 0 / zp 0 / all-zero bytes, the guard
-/// tests/nn/test_gemm_i8.cpp pins. Bytes k..k_pad are B-padding partners
-/// and stay 0. Per-row driver code: the same bytes come out whichever
-/// kernel variant later runs and however many workers quantize.
-///
-/// This runs on EVERY multiply (dynamic activation quantization), so the
-/// hot loop must not call libm or divide: a / sa is evaluated as
-/// a * (1 / sa) and round-half-away-from-zero as truncate(x +- 0.5). Both
-/// may differ from the exact round(a / sa) by one grid step for values
-/// within a float ulp of a rounding boundary — a sub-quantization-noise
-/// perturbation of the grid, and invisible to the determinism contract
-/// because quantization is driver code shared by every kernel variant.
-///
-/// Contiguous rows (op_a == kNone, the Dense forward path) additionally
-/// take a baseline-SSE2 vector body; strided transpose walks (Conv2D's
-/// col^T product) keep the scalar loop. Vector and scalar bodies emit the
-/// same bytes for the same row: masking non-finite lanes to 0.0f equals
-/// the scalar skip because the range always contains 0; min/max are exact
-/// in any association order; copysign(0.5, scaled) differs from the
-/// scalar select only at scaled == -0.0, where both truncate to zp.
-RowQuant quantize_a_row(const float* a, std::size_t lda, Op op_a,
-                        std::size_t i, std::size_t k, std::uint8_t* dst,
-                        std::size_t k_pad) {
-  const float* row = op_a == Op::kNone ? a + i * lda : nullptr;
-  float rmin = 0.0f, rmax = 0.0f;
-  std::size_t p0 = 0;
-#if CEA_GEMM_SSE2
-  if (row != nullptr && k >= 4) {
-    const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-    const __m128 vinf = _mm_set1_ps(std::numeric_limits<float>::infinity());
-    __m128 vmin = _mm_setzero_ps();
-    __m128 vmax = _mm_setzero_ps();
-    for (; p0 + 4 <= k; p0 += 4) {
-      const __m128 v = _mm_loadu_ps(row + p0);
-      const __m128 finite = _mm_cmplt_ps(_mm_and_ps(v, abs_mask), vinf);
-      const __m128 vf = _mm_and_ps(v, finite);  // non-finite lanes -> 0.0f
-      vmin = _mm_min_ps(vmin, vf);
-      vmax = _mm_max_ps(vmax, vf);
-    }
-    __m128 t = _mm_min_ps(vmin,
-                          _mm_shuffle_ps(vmin, vmin, _MM_SHUFFLE(1, 0, 3, 2)));
-    t = _mm_min_ps(t, _mm_shuffle_ps(t, t, _MM_SHUFFLE(2, 3, 0, 1)));
-    rmin = _mm_cvtss_f32(t);
-    t = _mm_max_ps(vmax, _mm_shuffle_ps(vmax, vmax, _MM_SHUFFLE(1, 0, 3, 2)));
-    t = _mm_max_ps(t, _mm_shuffle_ps(t, t, _MM_SHUFFLE(2, 3, 0, 1)));
-    rmax = _mm_cvtss_f32(t);
-  }
-#endif
-  for (std::size_t p = p0; p < k; ++p) {
-    const float v = op_at(a, lda, op_a, i, p);
-    if (!std::isfinite(v)) continue;
-    rmin = std::min(rmin, v);
-    rmax = std::max(rmax, v);
-  }
-  const float range = rmax - rmin;
-  const float sa = range / 127.0f;
-  // Requiring a NORMAL sa covers the flat row (sa == 0), keeps a denormal
-  // sa from blowing up the division it guards, and bounds the reciprocal:
-  // 1 / min_normal < 2^127 stays finite. Such a row carries no
-  // representable signal — emit the all-zero row the scale-0 guard tests
-  // pin.
-  if (sa < std::numeric_limits<float>::min()) {
-    std::memset(dst, 0, k_pad);
-    return {0.0f, 0};
-  }
-  const float inv_sa = 1.0f / sa;
-  const std::int32_t zp = std::clamp(
-      static_cast<std::int32_t>(std::round(-rmin * inv_sa)), 0, 127);
-  std::size_t p = 0;
-#if CEA_GEMM_SSE2
-  if (row != nullptr) {
-    const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-    const __m128 sign_mask = _mm_castsi128_ps(_mm_set1_epi32(0x80000000));
-    const __m128 vinf = _mm_set1_ps(std::numeric_limits<float>::infinity());
-    const __m128 vinv = _mm_set1_ps(inv_sa);
-    const __m128 vhalf = _mm_set1_ps(0.5f);
-    const __m128i vzp = _mm_set1_epi32(zp);
-    const __m128i v127 = _mm_set1_epi16(127);
-    const auto quant4 = [&](const float* src) {
-      const __m128 v = _mm_loadu_ps(src);
-      const __m128 finite = _mm_cmplt_ps(_mm_and_ps(v, abs_mask), vinf);
-      const __m128 scaled = _mm_mul_ps(v, vinv);
-      const __m128 shifted = _mm_add_ps(
-          scaled, _mm_or_ps(vhalf, _mm_and_ps(scaled, sign_mask)));
-      const __m128i q = _mm_add_epi32(_mm_cvttps_epi32(shifted), vzp);
-      const __m128i fmask = _mm_castps_si128(finite);
-      return _mm_or_si128(_mm_and_si128(fmask, q),
-                          _mm_andnot_si128(fmask, vzp));
-    };
-    for (; p + 8 <= k; p += 8) {
-      // Two 4-lane i32 halves -> 8 x i16 -> clamp [0, 127] -> 8 x u8.
-      __m128i q16 = _mm_packs_epi32(quant4(row + p), quant4(row + p + 4));
-      q16 = _mm_max_epi16(_mm_min_epi16(q16, v127), _mm_setzero_si128());
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + p),
-                       _mm_packus_epi16(q16, q16));
-    }
-  }
-#endif
-  for (; p < k; ++p) {
-    const float v = op_at(a, lda, op_a, i, p);
-    std::int32_t q = zp;
-    if (std::isfinite(v)) {
-      // Every finite v lies in [rmin, rmax], so scaled is within
-      // +-127 (1 + eps) and the truncating cast cannot overflow.
-      const float scaled = v * inv_sa;
-      const float shifted = scaled + (scaled >= 0.0f ? 0.5f : -0.5f);
-      q = std::clamp(static_cast<std::int32_t>(shifted) + zp, 0, 127);
-    }
-    dst[p] = static_cast<std::uint8_t>(q);
-  }
-  std::memset(dst + k, 0, k_pad - k);
-  return {sa, zp};
-}
-
-/// One int8 C tile [i0, i0+rows) x [j0, j0+cols): each register block is
-/// a single kernel call over the whole (padded) K extent — no K panels,
-/// no accumulate flag, the epilogue stores directly. Tiling is therefore
-/// pure scheduling in an even stronger sense than fp32: every C element
-/// is computed by exactly one kernel invocation from the same operand
-/// bytes regardless of the grid.
-void compute_tile_i8(const KernelDescI8& kd, const std::uint8_t* aq,
-                     std::size_t a_stride, const Int8PackedB& b,
-                     const float* ascale, const std::int32_t* azp,
-                     const float* bias, float* c, std::size_t ldc,
-                     std::size_t i0, std::size_t rows, std::size_t j0,
-                     std::size_t cols) {
-  const std::size_t b_stride = b.n_pad * 4;
-  for (std::size_t jp = 0; jp < cols; jp += kd.nr) {
-    const std::size_t live_cols = std::min(kd.nr, cols - jp);
-    const std::size_t jc = j0 + jp;
-    const std::int8_t* bsub = b.data.data() + jc * 4;
-    for (std::size_t ip = 0; ip < rows; ip += kd.mr) {
-      const std::size_t live_rows = std::min(kd.mr, rows - ip);
-      const std::size_t ir = i0 + ip;
-      kd.kernel(aq + ir * a_stride, a_stride, bsub, b_stride, b.groups,
-                ascale + ir, azp + ir, b.scales.data() + jc,
-                b.col_sums.data() + jc, bias + jc, c + ir * ldc + jc, ldc,
-                live_rows, live_cols);
-    }
-  }
-}
-
-/// int8 C tile extents. Free parameters like kMC/kNC (see above — even
-/// freer, since there is no K panelling at all); kNCI8 is a multiple of
-/// every variant's nr so only the true column edge of C takes the scalar
-/// delegate path.
-constexpr std::size_t kMCI8 = 64;
-constexpr std::size_t kNCI8 = 256;
-
-}  // namespace
-
-Int8PackedB pack_b_i8(const float* b, std::size_t ldb, Op op_b,
-                      std::size_t k, std::size_t n) {
-  Int8PackedB panel;
-  panel.k = k;
-  panel.n = n;
-  panel.n_pad = ceil_div(n, 32) * 32;
-  panel.groups = ceil_div(k, 4);
-  panel.data.assign(panel.groups * panel.n_pad * 4, 0);
-  panel.scales.assign(panel.n_pad, 0.0f);
-  panel.col_sums.assign(panel.n_pad, 0);
-  for (std::size_t j = 0; j < n; ++j) {
-    // Channel grid shared with quantize_model: symmetric, scale from the
-    // finite max only, non-finite weights quantized to 0 and counted.
-    float max_abs = 0.0f;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float w = op_at(b, ldb, op_b, p, j);
-      if (std::isfinite(w)) max_abs = std::max(max_abs, std::abs(w));
-    }
-    const float sw = symmetric_scale(max_abs, 8);
-    panel.scales[j] = sw;
-    std::int32_t col_sum = 0;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float w = op_at(b, ldb, op_b, p, j);
-      std::int32_t q = 0;
-      if (!std::isfinite(w)) {
-        ++panel.skipped_non_finite;
-      } else if (sw != 0.0f) {
-        q = std::clamp(static_cast<std::int32_t>(std::round(w / sw)), -127,
-                       127);
-      }
-      col_sum += q;
-      panel.data[((p / 4) * panel.n_pad + j) * 4 + (p % 4)] =
-          static_cast<std::int8_t>(q);
-    }
-    panel.col_sums[j] = col_sum;
-  }
-  return panel;
-}
-
-Variant active_variant_i8() noexcept {
-  const Variant cap = g_i8_cap.load(std::memory_order_relaxed);
-  if (util::have_avx512_vnni() && cap >= Variant::kAvx512)
-    return Variant::kAvx512;
-  if (util::have_avx2() && cap >= Variant::kAvx2) return Variant::kAvx2;
-  return Variant::kScalar;
-}
-
-void set_i8_variant_cap(Variant cap) noexcept {
-  g_i8_cap.store(cap, std::memory_order_relaxed);
-}
-
-void multiply_i8_variant(Variant variant, const float* a, std::size_t lda,
-                         Op op_a, const Int8PackedB& b, const float* bias,
-                         float* c, std::size_t ldc, std::size_t m,
-                         std::size_t n, std::size_t k,
-                         util::ThreadPool* pool) {
-  assert(k == b.k && n == b.n && "multiply_i8: panel shape mismatch");
-  assert(k <= 65535 && "multiply_i8: k exceeds i32 accumulator headroom");
-  if (m == 0 || n == 0) return;
-  CEA_SPAN("nn.gemm_i8");
-  CEA_TELEM(static const obs::MetricId obs_ops =
-                obs::counter("nn.gemm_i8.ops");
-            obs::add(obs_ops, 2.0 * static_cast<double>(m) *
-                                  static_cast<double>(n) *
-                                  static_cast<double>(k)););
-  const KernelDescI8 kd = variant_desc_i8(variant);
-
-  // Quantize-on-pack of A, once, up front. The workspaces persist across
-  // calls per thread (same rationale as the fp32 packing buffers) and the
-  // pool only ever splits whole rows, so the bytes are identical serial
-  // or pooled.
-  const std::size_t k_pad = b.groups * 4;
-  thread_local std::vector<std::uint8_t> aq;
-  thread_local std::vector<float> ascale;
-  thread_local std::vector<std::int32_t> azp;
-  thread_local std::vector<float> bias_pad;
-  aq.resize(m * k_pad);
-  ascale.resize(m);
-  azp.resize(m);
-  // Raw pointers for the task lambdas: the workspaces are thread_local,
-  // so naming them inside a lambda a pool worker runs would resolve to
-  // the *worker's* instances. The pointers pin the caller's.
-  std::uint8_t* const aq_data = aq.data();
-  float* const ascale_data = ascale.data();
-  std::int32_t* const azp_data = azp.data();
-  const auto quant_row = [=](std::size_t i) {
-    const RowQuant rq =
-        quantize_a_row(a, lda, op_a, i, k, aq_data + i * k_pad, k_pad);
-    ascale_data[i] = rq.scale;
-    azp_data[i] = rq.zp;
-  };
-  if (pool != nullptr && m > 1) {
-    pool->parallel_for(m, quant_row);
-  } else {
-    for (std::size_t i = 0; i < m; ++i) quant_row(i);
-  }
-
-  // Kernels always add a bias (identical float chain with and without
-  // one), so stage a zero-padded copy — padded so full-width vector loads
-  // at the last live panel stay in bounds.
-  bias_pad.assign(b.n_pad, 0.0f);
-  if (bias != nullptr) std::memcpy(bias_pad.data(), bias, n * sizeof(float));
-  const float* const bias_data = bias_pad.data();
-
-  std::size_t mc = kMCI8, nc = kNCI8;
-  if (pool != nullptr) {
-    const std::size_t want = 3 * (pool->size() + 1);
-    const auto tiles = [&] { return ceil_div(m, mc) * ceil_div(n, nc); };
-    while (tiles() < want && nc > 4 * kd.nr) nc /= 2;
-    while (tiles() < want && mc > 4 * kd.mr) mc /= 2;
-  }
-
-  const std::size_t tiles_n = ceil_div(n, nc);
-  const std::size_t total = ceil_div(m, mc) * tiles_n;
-  const auto task = [&](std::size_t t) {
-    const std::size_t i0 = (t / tiles_n) * mc;
-    const std::size_t j0 = (t % tiles_n) * nc;
-    compute_tile_i8(kd, aq_data, k_pad, b, ascale_data, azp_data, bias_data,
-                    c, ldc, i0, std::min(mc, m - i0), j0,
-                    std::min(nc, n - j0));
-  };
-  if (pool != nullptr && total > 1) {
-    pool->parallel_for(total, task);
-  } else {
-    for (std::size_t t = 0; t < total; ++t) task(t);
-  }
-}
-
-void multiply_i8(const float* a, std::size_t lda, Op op_a,
-                 const Int8PackedB& b, const float* bias, float* c,
-                 std::size_t ldc, std::size_t m, std::size_t n,
-                 std::size_t k, util::ThreadPool* pool) {
-  multiply_i8_variant(active_variant_i8(), a, lda, op_a, b, bias, c, ldc, m,
-                      n, k, pool);
 }
 
 }  // namespace gemm

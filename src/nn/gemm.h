@@ -18,8 +18,6 @@
 //    vector lanes evaluate exactly the per-element scalar chains.
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "util/thread_pool.h"
 
@@ -28,31 +26,11 @@ namespace cea::nn {
 /// Which layer compute path Dense/Conv2D/DepthwiseConv2D execute.
 /// kReference keeps the original (seed) scalar loops alive as an oracle
 /// and as the bench baseline; kGemm is the packed-kernel path and the
-/// default; kGemmInt8 runs Dense/Conv2D *forward* through the quantized
-/// int8 kernels (gemm::multiply_i8) — inference-only: backward and
-/// DepthwiseConv2D (k = 9 inner products, nothing to amortize) stay on
-/// the fp32 kGemm path.
-enum class ComputeBackend { kReference, kGemm, kGemmInt8 };
+/// default.
+enum class ComputeBackend { kReference, kGemm };
 
 void set_compute_backend(ComputeBackend backend) noexcept;
 ComputeBackend compute_backend() noexcept;
-
-/// RAII swap of the global compute backend — the hook QuantizedModel and
-/// the int8 benches/tests use to run one forward pass on a different path
-/// without disturbing the caller's configuration.
-class ScopedComputeBackend {
- public:
-  explicit ScopedComputeBackend(ComputeBackend backend) noexcept
-      : previous_(compute_backend()) {
-    set_compute_backend(backend);
-  }
-  ~ScopedComputeBackend() { set_compute_backend(previous_); }
-  ScopedComputeBackend(const ScopedComputeBackend&) = delete;
-  ScopedComputeBackend& operator=(const ScopedComputeBackend&) = delete;
-
- private:
-  ComputeBackend previous_;
-};
 
 /// Thread pool used by the nn layers and gemm::multiply. nullptr (the
 /// default) runs everything inline on the caller; results are
@@ -100,94 +78,6 @@ void multiply_variant(Variant variant, const float* a, std::size_t lda,
                       std::size_t n, std::size_t k,
                       util::ThreadPool* pool = nullptr,
                       bool accumulate = true);
-
-// ------------------------------------------------------------------ int8
-//
-// Quantized inference path: C (m x n, float32) =
-//   dequant( quant7(A) (m x k, u8) · panel (k x n, s8) ) + bias,
-// with activations quantized on pack (per-row dynamic asymmetric scale,
-// 7-bit so the AVX2 maddubs pair sums cannot saturate i16), weights
-// pre-quantized per output channel (symmetric s8), and the integer
-// accumulator dequantized + bias-added in one fused epilogue pass.
-//
-// Determinism contract — STRONGER than fp32 multiply(): the inner product
-// is exact integer arithmetic (no intermediate may saturate, by
-// construction: |pair sum| <= 2*127*127 < 2^15, |acc| <= 127*127*k <
-// 2^31 for k <= 65535) and the float epilogue is one specified chain
-// (corr = acc - zp_i*colsum_j; out = float(corr) * (sa_i*sw_j) + bias_j,
-// mul-then-add, no FMA), so scalar, AVX2 and AVX-512 VNNI kernels and
-// serial vs pooled runs are all BIT-identical — pinned in
-// tests/nn/test_gemm_i8.cpp. The tile fan-out reuses the fp32 grid: K is
-// never split, one writer per C tile.
-
-/// Pre-quantized weight operand of multiply_i8: op_b(B) (k x n), n output
-/// channels each quantized to s8 on its own symmetric grid (scale =
-/// nn::symmetric_scale(max finite |channel|, 8); non-finite weights are
-/// skipped — quantized to 0 — and counted, mirroring quantize_model).
-/// Storage is the K4-interleaved layout every kernel variant shares:
-/// groups of 4 consecutive k indices, channel index fastest
-/// (data[(g * n_pad + j) * 4 + t] = w_q(4g + t, j)), k zero-padded to a
-/// multiple of 4 and n to a multiple of 32 so full-width SIMD loads stay
-/// in bounds. scales/col_sums are per channel, zero-padded to n_pad.
-struct Int8PackedB {
-  std::size_t k = 0;
-  std::size_t n = 0;
-  std::size_t n_pad = 0;    ///< n rounded up to 32
-  std::size_t groups = 0;   ///< ceil(k / 4)
-  std::vector<std::int8_t> data;       ///< groups x n_pad x 4
-  std::vector<float> scales;           ///< n_pad, per-channel sw_j
-  std::vector<std::int32_t> col_sums;  ///< n_pad, sum_k w_q(k, j)
-  std::size_t skipped_non_finite = 0;
-
-  /// Size of the deployable artifact in MB: one byte per weight plus one
-  /// float scale per channel (the honest int8 transfer size F_{i,n}).
-  double size_mb() const noexcept {
-    return (static_cast<double>(k) * static_cast<double>(n) +
-            4.0 * static_cast<double>(n)) /
-           (1024.0 * 1024.0);
-  }
-};
-
-/// Quantize + pack op_b(B) (k x n) into an int8 weight panel. B is
-/// row-major with leading dimension ldb of the stored layout (so a Dense
-/// weight matrix W (out x in) packs as pack_b_i8(W, in, kTranspose, in,
-/// out)). Packing is scalar driver code shared by every kernel variant —
-/// the panel bytes are identical no matter which kernel later consumes
-/// them.
-Int8PackedB pack_b_i8(const float* b, std::size_t ldb, Op op_b,
-                      std::size_t k, std::size_t n);
-
-/// Kernel variant multiply_i8() dispatches to on this machine: AVX-512
-/// requires VNNI (util::have_avx512_vnni); plain AVX-512 machines fall
-/// back to the AVX2 maddubs kernel. CEA_FORCE_ISA caps it like fp32.
-Variant active_variant_i8() noexcept;
-
-/// Test hook: additionally cap the variant multiply_i8 dispatches to —
-/// like CEA_FORCE_ISA, but switchable at runtime so one process can pin
-/// the whole forward path to scalar, then AVX2, then VNNI and compare
-/// bitwise. kAvx512 (the default) caps nothing.
-void set_i8_variant_cap(Variant cap) noexcept;
-
-/// C (m x n, row-major, ldc) = dequant(quant7(op_a(A)) · b) + bias.
-/// A is float (m x k through op_a); its rows are quantized on pack with
-/// per-row dynamic scales (pure per-row scalar code, so serial and
-/// pooled packs are identical). bias has n entries, or nullptr for none.
-/// C is always overwritten (inference epilogue — there is no accumulate
-/// mode). Requires k <= 65535 (i32 accumulator headroom) and k == b.k,
-/// n == b.n.
-void multiply_i8(const float* a, std::size_t lda, Op op_a,
-                 const Int8PackedB& b, const float* bias, float* c,
-                 std::size_t ldc, std::size_t m, std::size_t n,
-                 std::size_t k, util::ThreadPool* pool = nullptr);
-
-/// multiply_i8() pinned to one kernel variant — the equivalence-test and
-/// perf_nn hook. Callers must check util::have_avx2 /
-/// util::have_avx512_vnni before requesting a SIMD variant.
-void multiply_i8_variant(Variant variant, const float* a, std::size_t lda,
-                         Op op_a, const Int8PackedB& b, const float* bias,
-                         float* c, std::size_t ldc, std::size_t m,
-                         std::size_t n, std::size_t k,
-                         util::ThreadPool* pool = nullptr);
 
 }  // namespace gemm
 }  // namespace cea::nn

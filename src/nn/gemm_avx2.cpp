@@ -1,13 +1,11 @@
-// AVX2 GEMM micro-kernels: fp32 (6 rows x 16 columns = 12 ymm float
-// accumulators) and int8 (same 6x16 tile, 12 ymm i32 accumulators).
+// AVX2 GEMM micro-kernel: 6 rows x 16 columns = 12 ymm float
+// accumulators.
 // This TU is compiled with -mavx2 -ffp-contract=off (src/nn/CMakeLists.txt)
 // and must only be entered behind the util::have_avx2() runtime check.
 
 #if defined(__x86_64__)
 
 #include <immintrin.h>
-
-#include <cstring>
 
 #include "nn/gemm_simd.h"
 
@@ -42,120 +40,6 @@ void micro_kernel_avx2(const float* a, std::size_t a_rstride,
                        bool accumulate) {
   MicroTile<VecAvx2>::run(a, a_rstride, a_kstride, b, b_kstride, kc, c, ldc,
                           rows, cols, accumulate);
-}
-
-namespace {
-
-// Int8 tile: per k-group, broadcast 4 activation bytes of each row into
-// every i32 lane (set1_epi32 of the packed u32) against two 32-byte B
-// vectors holding 16 columns x 4 k. maddubs multiplies u8*s8 and adds
-// adjacent byte pairs into i16 — exact, because activations are 7-bit:
-// |pair| <= 2*127*127 = 32258 < 2^15, the whole reason for the [0,127]
-// grid — and madd-by-ones folds the i16 pairs into the i32 4-way dot.
-// Both steps together are precisely one vpdpbusd (the VNNI kernel), so
-// all variants share the exact integer accumulator by construction.
-template <int Rows>
-void i8_rows_avx2(const std::uint8_t* a, std::size_t a_stride,
-                  const std::int8_t* b, std::size_t b_stride,
-                  std::size_t groups, const float* a_scales,
-                  const std::int32_t* a_zps, const float* b_scales,
-                  const std::int32_t* b_col_sums, const float* bias, float* c,
-                  std::size_t ldc) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i acc0[Rows], acc1[Rows];
-  for (int r = 0; r < Rows; ++r) {
-    acc0[r] = _mm256_setzero_si256();
-    acc1[r] = _mm256_setzero_si256();
-  }
-  for (std::size_t g = 0; g < groups; ++g) {
-    const __m256i b0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b + g * b_stride));
-    const __m256i b1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b + g * b_stride + 32));
-    for (int r = 0; r < Rows; ++r) {
-      std::int32_t aw;
-      std::memcpy(&aw, a + r * a_stride + g * 4, 4);
-      const __m256i av = _mm256_set1_epi32(aw);
-      acc0[r] = _mm256_add_epi32(
-          acc0[r], _mm256_madd_epi16(_mm256_maddubs_epi16(av, b0), ones));
-      acc1[r] = _mm256_add_epi32(
-          acc1[r], _mm256_madd_epi16(_mm256_maddubs_epi16(av, b1), ones));
-    }
-  }
-  // Fused epilogue, per lane exactly the scalar chain: exact i32
-  // zero-point correction, then mul, mul, add (cvtepi32_ps and the scalar
-  // int->float cast both round to nearest under the default MXCSR mode).
-  const __m256i cs0 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b_col_sums));
-  const __m256i cs1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b_col_sums + 8));
-  const __m256 sw0 = _mm256_loadu_ps(b_scales);
-  const __m256 sw1 = _mm256_loadu_ps(b_scales + 8);
-  const __m256 bi0 = _mm256_loadu_ps(bias);
-  const __m256 bi1 = _mm256_loadu_ps(bias + 8);
-  for (int r = 0; r < Rows; ++r) {
-    const __m256i zp = _mm256_set1_epi32(a_zps[r]);
-    const __m256 sa = _mm256_set1_ps(a_scales[r]);
-    const __m256i corr0 =
-        _mm256_sub_epi32(acc0[r], _mm256_mullo_epi32(zp, cs0));
-    const __m256i corr1 =
-        _mm256_sub_epi32(acc1[r], _mm256_mullo_epi32(zp, cs1));
-    const __m256 comb0 = _mm256_mul_ps(sa, sw0);
-    const __m256 comb1 = _mm256_mul_ps(sa, sw1);
-    float* cr = c + r * ldc;
-    _mm256_storeu_ps(
-        cr, _mm256_add_ps(
-                _mm256_mul_ps(_mm256_cvtepi32_ps(corr0), comb0), bi0));
-    _mm256_storeu_ps(
-        cr + 8, _mm256_add_ps(
-                    _mm256_mul_ps(_mm256_cvtepi32_ps(corr1), comb1), bi1));
-  }
-}
-
-}  // namespace
-
-void micro_kernel_i8_avx2(const std::uint8_t* a, std::size_t a_stride,
-                          const std::int8_t* b, std::size_t b_stride,
-                          std::size_t groups, const float* a_scales,
-                          const std::int32_t* a_zps, const float* b_scales,
-                          const std::int32_t* b_col_sums, const float* bias,
-                          float* c, std::size_t ldc, std::size_t rows,
-                          std::size_t cols) {
-  if (cols < kAvx2I8Nr) {
-    // Column edge: the integer part is exact and the float chain pinned,
-    // so the scalar delegate is bit-identical (gemm_kernels.h).
-    micro_kernel_i8_scalar(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                           b_scales, b_col_sums, bias, c, ldc, rows, cols);
-    return;
-  }
-  switch (rows) {
-    case 1:
-      i8_rows_avx2<1>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                      b_scales, b_col_sums, bias, c, ldc);
-      break;
-    case 2:
-      i8_rows_avx2<2>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                      b_scales, b_col_sums, bias, c, ldc);
-      break;
-    case 3:
-      i8_rows_avx2<3>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                      b_scales, b_col_sums, bias, c, ldc);
-      break;
-    case 4:
-      i8_rows_avx2<4>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                      b_scales, b_col_sums, bias, c, ldc);
-      break;
-    case 5:
-      i8_rows_avx2<5>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                      b_scales, b_col_sums, bias, c, ldc);
-      break;
-    case 6:
-      i8_rows_avx2<6>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                      b_scales, b_col_sums, bias, c, ldc);
-      break;
-    default:
-      break;
-  }
 }
 
 }  // namespace cea::nn::gemm::detail

@@ -1,16 +1,11 @@
-// AVX-512 GEMM micro-kernels: fp32 (8 rows x 32 columns = 16 zmm float
-// accumulators, requires avx512vl+dq) and int8 via VNNI vpdpbusd (same
-// 8x32 tile in i32 lanes, requires avx512vnni+bw on top). This TU is
-// compiled with -mavx512vl -mavx512dq -mavx512bw -mavx512vnni
-// -ffp-contract=off (src/nn/CMakeLists.txt); the fp32 kernel must only
-// be entered behind util::have_avx512() and the int8 kernel behind the
-// stricter util::have_avx512_vnni().
+// AVX-512 GEMM micro-kernel: 8 rows x 32 columns = 16 zmm float
+// accumulators. This TU is compiled with -mavx512vl -mavx512dq
+// -ffp-contract=off (src/nn/CMakeLists.txt) and must only be entered
+// behind the util::have_avx512() runtime check.
 
 #if defined(__x86_64__)
 
 #include <immintrin.h>
-
-#include <cstring>
 
 #include "nn/gemm_simd.h"
 
@@ -45,114 +40,6 @@ void micro_kernel_avx512(const float* a, std::size_t a_rstride,
                          bool accumulate) {
   MicroTile<VecAvx512>::run(a, a_rstride, a_kstride, b, b_kstride, kc, c, ldc,
                             rows, cols, accumulate);
-}
-
-namespace {
-
-// Int8 tile: one vpdpbusd per k-group per B vector — the instruction the
-// AVX2 kernel emulates with maddubs+madd, so the i32 accumulators are
-// identical by construction (dpbusd's internal pair sums are wider than
-// i16; the AVX2 path avoids its own saturation via the 7-bit activation
-// grid). 8 rows x 2 zmm = 16 i32 accumulators, mirroring the fp32 tile.
-template <int Rows>
-void i8_rows_avx512(const std::uint8_t* a, std::size_t a_stride,
-                    const std::int8_t* b, std::size_t b_stride,
-                    std::size_t groups, const float* a_scales,
-                    const std::int32_t* a_zps, const float* b_scales,
-                    const std::int32_t* b_col_sums, const float* bias,
-                    float* c, std::size_t ldc) {
-  __m512i acc0[Rows], acc1[Rows];
-  for (int r = 0; r < Rows; ++r) {
-    acc0[r] = _mm512_setzero_si512();
-    acc1[r] = _mm512_setzero_si512();
-  }
-  for (std::size_t g = 0; g < groups; ++g) {
-    const __m512i b0 = _mm512_loadu_si512(b + g * b_stride);
-    const __m512i b1 = _mm512_loadu_si512(b + g * b_stride + 64);
-    for (int r = 0; r < Rows; ++r) {
-      std::int32_t aw;
-      std::memcpy(&aw, a + r * a_stride + g * 4, 4);
-      const __m512i av = _mm512_set1_epi32(aw);
-      acc0[r] = _mm512_dpbusd_epi32(acc0[r], av, b0);
-      acc1[r] = _mm512_dpbusd_epi32(acc1[r], av, b1);
-    }
-  }
-  // Fused epilogue: same pinned chain as the scalar and AVX2 kernels.
-  const __m512i cs0 = _mm512_loadu_si512(b_col_sums);
-  const __m512i cs1 = _mm512_loadu_si512(b_col_sums + 16);
-  const __m512 sw0 = _mm512_loadu_ps(b_scales);
-  const __m512 sw1 = _mm512_loadu_ps(b_scales + 16);
-  const __m512 bi0 = _mm512_loadu_ps(bias);
-  const __m512 bi1 = _mm512_loadu_ps(bias + 16);
-  for (int r = 0; r < Rows; ++r) {
-    const __m512i zp = _mm512_set1_epi32(a_zps[r]);
-    const __m512 sa = _mm512_set1_ps(a_scales[r]);
-    const __m512i corr0 =
-        _mm512_sub_epi32(acc0[r], _mm512_mullo_epi32(zp, cs0));
-    const __m512i corr1 =
-        _mm512_sub_epi32(acc1[r], _mm512_mullo_epi32(zp, cs1));
-    const __m512 comb0 = _mm512_mul_ps(sa, sw0);
-    const __m512 comb1 = _mm512_mul_ps(sa, sw1);
-    float* cr = c + r * ldc;
-    _mm512_storeu_ps(
-        cr, _mm512_add_ps(
-                _mm512_mul_ps(_mm512_cvtepi32_ps(corr0), comb0), bi0));
-    _mm512_storeu_ps(
-        cr + 16, _mm512_add_ps(
-                     _mm512_mul_ps(_mm512_cvtepi32_ps(corr1), comb1), bi1));
-  }
-}
-
-}  // namespace
-
-void micro_kernel_i8_avx512vnni(
-    const std::uint8_t* a, std::size_t a_stride, const std::int8_t* b,
-    std::size_t b_stride, std::size_t groups, const float* a_scales,
-    const std::int32_t* a_zps, const float* b_scales,
-    const std::int32_t* b_col_sums, const float* bias, float* c,
-    std::size_t ldc, std::size_t rows, std::size_t cols) {
-  if (cols < kAvx512I8Nr) {
-    // Column edge: bit-identical scalar delegate (gemm_kernels.h).
-    micro_kernel_i8_scalar(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                           b_scales, b_col_sums, bias, c, ldc, rows, cols);
-    return;
-  }
-  switch (rows) {
-    case 1:
-      i8_rows_avx512<1>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                        b_scales, b_col_sums, bias, c, ldc);
-      break;
-    case 2:
-      i8_rows_avx512<2>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                        b_scales, b_col_sums, bias, c, ldc);
-      break;
-    case 3:
-      i8_rows_avx512<3>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                        b_scales, b_col_sums, bias, c, ldc);
-      break;
-    case 4:
-      i8_rows_avx512<4>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                        b_scales, b_col_sums, bias, c, ldc);
-      break;
-    case 5:
-      i8_rows_avx512<5>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                        b_scales, b_col_sums, bias, c, ldc);
-      break;
-    case 6:
-      i8_rows_avx512<6>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                        b_scales, b_col_sums, bias, c, ldc);
-      break;
-    case 7:
-      i8_rows_avx512<7>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                        b_scales, b_col_sums, bias, c, ldc);
-      break;
-    case 8:
-      i8_rows_avx512<8>(a, a_stride, b, b_stride, groups, a_scales, a_zps,
-                        b_scales, b_col_sums, bias, c, ldc);
-      break;
-    default:
-      break;
-  }
 }
 
 }  // namespace cea::nn::gemm::detail

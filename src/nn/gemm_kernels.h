@@ -31,7 +31,6 @@
 // (tests/nn/test_gemm.cpp).
 
 #include <cstddef>
-#include <cstdint>
 
 namespace cea::nn::gemm::detail {
 
@@ -94,88 +93,6 @@ void micro_kernel_avx512(const float* a, std::size_t a_rstride,
                          bool accumulate);
 inline constexpr std::size_t kAvx512Mr = 8;
 inline constexpr std::size_t kAvx512Nr = 32;
-#endif
-
-// ------------------------------------------------------------------ int8
-//
-// An int8 micro-kernel multiplies one (rows x kc-through-groups) block of
-// quantized u8 activation rows by one column block of an Int8PackedB
-// panel into float C. Operand addressing:
-//
-//   A(r, 4g + t) = a[r * a_stride + 4g + t]        (u8, zero-padded k)
-//   B(4g + t, j) = b[g * b_stride + j * 4 + t]     (s8, K4-interleaved)
-//
-// The kernel owns the whole K extent (groups * 4 padded steps; there is
-// no K panelling — the i32 accumulator is exact, so nothing is ever
-// folded into C early) and the fused epilogue: for each live element,
-//   corr = acc - a_zps[r] * col_sums[j]            (exact i32)
-//   C[r][j] = float(corr) * (a_scales[r] * scales[j]) + bias[j]
-// with the float part evaluated as exactly that op sequence (two
-// multiplies, one add, no FMA — the TUs are compiled with
-// -ffp-contract=off). scales/col_sums/bias are pre-offset to the block's
-// first column and padded, so full-width vector loads stay in bounds.
-//
-// Because the integer part is exact and the float chain is pinned, a
-// SIMD kernel may delegate partial-width column blocks (cols < its nr)
-// to micro_kernel_i8_scalar with bit-identical results — which is how
-// both SIMD variants handle column edges.
-
-/// (a, a_stride, b, b_stride, groups, a_scales, a_zps, b_scales,
-/// b_col_sums, bias, c, ldc, rows, cols) — per-row activation
-/// scale/zero-point arrays are pre-offset to the block's first row,
-/// per-column arrays to its first column. bias is never null (the driver
-/// stages a zero-padded copy).
-using MicroKernelI8 = void (*)(
-    const std::uint8_t* a, std::size_t a_stride, const std::int8_t* b,
-    std::size_t b_stride, std::size_t groups, const float* a_scales,
-    const std::int32_t* a_zps, const float* b_scales,
-    const std::int32_t* b_col_sums, const float* bias, float* c,
-    std::size_t ldc, std::size_t rows, std::size_t cols);
-
-/// Register-tile shape and entry point of one int8 kernel variant.
-struct KernelDescI8 {
-  std::size_t mr = 0;
-  std::size_t nr = 0;
-  MicroKernelI8 kernel = nullptr;
-};
-
-/// Scalar int8 reference kernel (gemm.cpp). Defines the semantics; also
-/// the delegate for SIMD column edges.
-void micro_kernel_i8_scalar(const std::uint8_t* a, std::size_t a_stride,
-                            const std::int8_t* b, std::size_t b_stride,
-                            std::size_t groups, const float* a_scales,
-                            const std::int32_t* a_zps, const float* b_scales,
-                            const std::int32_t* b_col_sums, const float* bias,
-                            float* c, std::size_t ldc, std::size_t rows,
-                            std::size_t cols);
-inline constexpr std::size_t kScalarI8Mr = 6;
-inline constexpr std::size_t kScalarI8Nr = 16;
-
-#if defined(__x86_64__)
-/// 6x16 AVX2 int8 kernel (gemm_avx2.cpp): maddubs u8*s8 pairs -> i16,
-/// madd by ones -> i32 — exactly one dpbusd in two steps. Enter only
-/// behind util::have_avx2().
-void micro_kernel_i8_avx2(const std::uint8_t* a, std::size_t a_stride,
-                          const std::int8_t* b, std::size_t b_stride,
-                          std::size_t groups, const float* a_scales,
-                          const std::int32_t* a_zps, const float* b_scales,
-                          const std::int32_t* b_col_sums, const float* bias,
-                          float* c, std::size_t ldc, std::size_t rows,
-                          std::size_t cols);
-inline constexpr std::size_t kAvx2I8Mr = 6;
-inline constexpr std::size_t kAvx2I8Nr = 16;
-
-/// 8x32 AVX-512 VNNI int8 kernel (gemm_avx512.cpp, additionally compiled
-/// with -mavx512bw -mavx512vnni): one vpdpbusd per k-group per vector.
-/// Enter only behind util::have_avx512_vnni().
-void micro_kernel_i8_avx512vnni(
-    const std::uint8_t* a, std::size_t a_stride, const std::int8_t* b,
-    std::size_t b_stride, std::size_t groups, const float* a_scales,
-    const std::int32_t* a_zps, const float* b_scales,
-    const std::int32_t* b_col_sums, const float* bias, float* c,
-    std::size_t ldc, std::size_t rows, std::size_t cols);
-inline constexpr std::size_t kAvx512I8Mr = 8;
-inline constexpr std::size_t kAvx512I8Nr = 32;
 #endif
 
 }  // namespace cea::nn::gemm::detail

@@ -41,10 +41,9 @@ void for_each_sample(std::size_t batch,
 
 /// Per-thread scratch, reused across layers, samples and minibatches
 /// (never shrinks). Slot 0 holds im2col patches, slot 1 the gradient
-/// patches of the backward pass, slot 2 the transposed (patches x out_c)
-/// C block of the Conv2D int8 forward.
+/// patches of the backward pass.
 std::vector<float>& tls_workspace(std::size_t slot, std::size_t n) {
-  thread_local std::vector<float> buffers[3];
+  thread_local std::vector<float> buffers[2];
   auto& buffer = buffers[slot];
   if (buffer.size() < n) buffer.resize(n);
   return buffer;
@@ -68,8 +67,6 @@ Tensor Dense::forward(const Tensor& input) {
   assert(input.rank() == 2 && input.dim(1) == in_);
   if (compute_backend() == ComputeBackend::kReference)
     return forward_reference(input);
-  if (compute_backend() == ComputeBackend::kGemmInt8)
-    return forward_int8(input);
   cached_input_ = input;
   const std::size_t batch = input.dim(0);
   Tensor out = Tensor::uninitialized({batch, out_});
@@ -80,23 +77,6 @@ Tensor Dense::forward(const Tensor& input) {
   gemm::multiply(input.data().data(), in_, gemm::Op::kNone, weights_.data(),
                  in_, gemm::Op::kTranspose, o, out_, batch, out_, in_,
                  compute_pool());
-  return out;
-}
-
-Tensor Dense::forward_int8(const Tensor& input) {
-  // Inference path: out = dequant(quant7(X) · panel(W^T)) + bias in one
-  // fused pass — no bias prefill, the epilogue adds it. The input is
-  // still cached so a backward() (which always runs fp32) keeps working
-  // mid-training.
-  cached_input_ = input;
-  const std::size_t batch = input.dim(0);
-  Tensor out = Tensor::uninitialized({batch, out_});
-  if (!i8_panel_)
-    i8_panel_ = std::make_unique<gemm::Int8PackedB>(gemm::pack_b_i8(
-        weights_.data(), in_, gemm::Op::kTranspose, in_, out_));
-  gemm::multiply_i8(input.data().data(), in_, gemm::Op::kNone, *i8_panel_,
-                    bias_.data(), out.data().data(), out_, batch, out_, in_,
-                    compute_pool());
   return out;
 }
 
@@ -155,7 +135,6 @@ Tensor Dense::backward_reference(const Tensor& grad_output) {
 }
 
 void Dense::apply_gradients(float learning_rate) {
-  i8_panel_.reset();
   for (std::size_t i = 0; i < weights_.size(); ++i) {
     weights_[i] -= learning_rate * grad_weights_[i];
     grad_weights_[i] = 0.0f;
@@ -171,13 +150,11 @@ std::size_t Dense::parameter_count() const noexcept {
 }
 
 void Dense::visit_parameters(const ParameterVisitor& visit) {
-  i8_panel_.reset();  // visitors get mutable spans — the weights may change
   visit(weights_);
   visit(bias_);
 }
 
 void Dense::visit_gradients(const GradientVisitor& visit) {
-  i8_panel_.reset();
   visit(weights_, grad_weights_);
   visit(bias_, grad_bias_);
 }
@@ -335,8 +312,6 @@ Tensor Conv2D::forward(const Tensor& input) {
   assert(input.rank() == 4 && input.dim(1) == in_c_);
   if (compute_backend() == ComputeBackend::kReference)
     return forward_reference(input);
-  if (compute_backend() == ComputeBackend::kGemmInt8)
-    return forward_int8(input);
   cached_input_ = input;
   const std::size_t batch = input.dim(0);
   const std::size_t ih = input.dim(2), iw = input.dim(3);
@@ -358,40 +333,6 @@ Tensor Conv2D::forward(const Tensor& input) {
     gemm::multiply(weights_.data(), depth, gemm::Op::kNone, col.data(),
                    patches, gemm::Op::kNone, dst, patches, out_c_, patches,
                    depth, compute_pool());
-  });
-  return out;
-}
-
-Tensor Conv2D::forward_int8(const Tensor& input) {
-  cached_input_ = input;
-  const std::size_t batch = input.dim(0);
-  const std::size_t ih = input.dim(2), iw = input.dim(3);
-  const std::size_t oh = conv_output_extent(ih, kernel_, stride_, padding_);
-  const std::size_t ow = conv_output_extent(iw, kernel_, stride_, padding_);
-  const std::size_t patches = oh * ow;
-  const std::size_t depth = in_c_ * kernel_ * kernel_;
-  Tensor out = Tensor::uninitialized({batch, out_c_, oh, ow});
-  // The activations must be the A operand (they carry the dynamic per-row
-  // scales; the weights are the pre-quantized panel), so the product runs
-  // transposed relative to the fp32 path: C (patches x out_c) =
-  // col^T · panel(W^T), one activation scale per output pixel, then a
-  // scalar transpose into the (out_c x patches) output slice. Bias is
-  // fused into the GEMM epilogue.
-  if (!i8_panel_)
-    i8_panel_ = std::make_unique<gemm::Int8PackedB>(gemm::pack_b_i8(
-        weights_.data(), depth, gemm::Op::kTranspose, depth, out_c_));
-  for_each_sample(batch, [&](std::size_t b) {
-    auto& col = tls_workspace(0, depth * patches);
-    im2col(input.data().data() + b * in_c_ * ih * iw, in_c_, ih, iw,
-           kernel_, stride_, padding_, oh, ow, col.data());
-    auto& ct = tls_workspace(2, patches * out_c_);
-    gemm::multiply_i8(col.data(), patches, gemm::Op::kTranspose, *i8_panel_,
-                      bias_.data(), ct.data(), out_c_, patches, out_c_,
-                      depth, compute_pool());
-    float* dst = out.data().data() + b * out_c_ * patches;
-    for (std::size_t p = 0; p < patches; ++p)
-      for (std::size_t oc = 0; oc < out_c_; ++oc)
-        dst[oc * patches + p] = ct[p * out_c_ + oc];
   });
   return out;
 }
@@ -525,7 +466,6 @@ Tensor Conv2D::backward_reference(const Tensor& grad_output) {
 }
 
 void Conv2D::apply_gradients(float learning_rate) {
-  i8_panel_.reset();
   for (std::size_t i = 0; i < weights_.size(); ++i) {
     weights_[i] -= learning_rate * grad_weights_[i];
     grad_weights_[i] = 0.0f;
@@ -541,13 +481,11 @@ std::size_t Conv2D::parameter_count() const noexcept {
 }
 
 void Conv2D::visit_parameters(const ParameterVisitor& visit) {
-  i8_panel_.reset();  // mutable spans — see Dense::visit_parameters
   visit(weights_);
   visit(bias_);
 }
 
 void Conv2D::visit_gradients(const GradientVisitor& visit) {
-  i8_panel_.reset();
   visit(weights_, grad_weights_);
   visit(bias_, grad_bias_);
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -54,8 +53,7 @@ class Layer {
   /// Output-channel count of this layer's weight matrix, or 0 when the
   /// layer has none. Nonzero means parameter block 0 is a (channels x
   /// size/channels) row-major weight matrix whose rows quantize on
-  /// per-channel grids — the contract quantize_model and the int8 panels
-  /// share.
+  /// per-channel grids (quantize_model's contract).
   virtual std::size_t output_channels() const noexcept { return 0; }
 };
 
@@ -84,7 +82,6 @@ class Dense final : public Layer {
 
  private:
   Tensor forward_reference(const Tensor& input);
-  Tensor forward_int8(const Tensor& input);
   Tensor backward_reference(const Tensor& grad_output);
 
   std::size_t in_, out_;
@@ -93,10 +90,6 @@ class Dense final : public Layer {
   std::vector<float> grad_weights_;
   std::vector<float> grad_bias_;
   Tensor cached_input_;
-  // Lazily built int8 weight panel of the kGemmInt8 forward path; reset
-  // whenever the weights may change (apply_gradients and the mutable
-  // visitors) so a stale panel can never serve a fresh model.
-  std::unique_ptr<gemm::Int8PackedB> i8_panel_;
 };
 
 /// 2-D convolution (NCHW), square kernel, configurable stride and padding.
@@ -117,7 +110,6 @@ class Conv2D final : public Layer {
 
  private:
   Tensor forward_reference(const Tensor& input);
-  Tensor forward_int8(const Tensor& input);
   Tensor backward_reference(const Tensor& grad_output);
 
   std::size_t in_c_, out_c_, kernel_, stride_, padding_;
@@ -132,9 +124,6 @@ class Conv2D final : public Layer {
   // minibatches instead of reallocated per call.
   std::vector<float> grad_w_scratch_;  // batch x out_c x depth
   std::vector<float> grad_b_scratch_;  // batch x out_c
-  // Int8 panel of the (depth x out_c) transposed weight matrix (see
-  // forward_int8); invalidated like Dense's.
-  std::unique_ptr<gemm::Int8PackedB> i8_panel_;
 };
 
 /// Depthwise 3x3-style convolution: one filter per input channel
@@ -151,9 +140,6 @@ class DepthwiseConv2D final : public Layer {
   std::string name() const override { return "depthwise_conv2d"; }
   void visit_parameters(const ParameterVisitor& visit) override;
   void visit_gradients(const GradientVisitor& visit) override;
-  /// Per-channel quantization grids only — DepthwiseConv2D has no int8
-  /// compute path (k = kernel*kernel inner products are too short to
-  /// amortize quantization) and runs fp32 under kGemmInt8.
   std::size_t output_channels() const noexcept override { return channels_; }
 
  private:

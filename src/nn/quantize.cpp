@@ -40,12 +40,14 @@ void fake_quantize_span(std::span<float> values, float scale,
   }
 }
 
-}  // namespace
-
+/// Symmetric quantization step for a value range of the given max
+/// magnitude: max_abs / (2^(bits-1) - 1), the scale of every grid.
 float symmetric_scale(float max_abs, std::size_t bits) noexcept {
   const float levels = static_cast<float>((1u << (bits - 1)) - 1u);
   return max_abs == 0.0f ? 0.0f : max_abs / levels;
 }
+
+}  // namespace
 
 std::vector<float> per_channel_scales(const float* weights,
                                       std::size_t channels,
@@ -74,8 +76,8 @@ QuantizationReport quantize_model(Sequential& model, std::size_t bits) {
       report.parameter_count += block.size();
       // Block 0 of a channeled layer is its weight matrix (the
       // visit_parameters weights-then-biases contract): quantize it on
-      // the same per-output-channel grids gemm::pack_b_i8 packs to int8.
-      // Everything else (biases) keeps the original per-block grid.
+      // per-output-channel grids. Everything else (biases) keeps the
+      // original per-block grid.
       const bool weight_matrix =
           block_index++ == 0 && channels > 0 && block.size() > channels &&
           block.size() % channels == 0;

@@ -22,16 +22,9 @@ struct QuantizationReport {
   std::size_t skipped_non_finite = 0;
 };
 
-/// Symmetric quantization step for a value range of the given max
-/// magnitude: max_abs / (2^(bits-1) - 1). The one scale formula every
-/// quantization path shares — the fake-quant grid of quantize_model and
-/// the real int8 weight panels of gemm::pack_b_i8 both round onto grids
-/// produced by this function, so the two arms see the same weights.
-float symmetric_scale(float max_abs, std::size_t bits) noexcept;
-
 /// Per-output-channel symmetric scales of a (channels x per_channel)
-/// row-major weight matrix: scales[c] = symmetric_scale(max finite
-/// |row c|, bits). Non-finite entries are excluded from the max (they
+/// row-major weight matrix: scales[c] = max finite |row c| /
+/// (2^(bits-1) - 1). Non-finite entries are excluded from the max (they
 /// would zero or poison the whole channel); an all-zero or all-non-finite
 /// channel gets scale 0.
 std::vector<float> per_channel_scales(const float* weights,
@@ -43,10 +36,8 @@ std::vector<float> per_channel_scales(const float* weights,
 /// symmetric per-output-channel int grids of the given bit width (biases
 /// and other blocks use one per-block grid); values stay float so the
 /// unmodified inference path exercises the quantized values — "fake
-/// quantization", the standard QAT evaluation trick. The per-channel
-/// grids are exactly the ones gemm::pack_b_i8 packs into real int8
-/// panels, so a fake-quantized model and its kGemmInt8 twin share
-/// weights (see per_channel_scales).
+/// quantization", the standard QAT evaluation trick (see
+/// per_channel_scales for the weight-matrix grids).
 ///
 /// This implements the paper's future-work direction of supporting large
 /// models at the edge "via quantization-aware carbon or energy control":

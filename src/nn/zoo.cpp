@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
-#include <utility>
-
-#include "nn/gemm.h"
 
 namespace cea::nn {
 namespace {
@@ -90,45 +86,6 @@ Sequential make_mobilenet_lite(const std::string& name, const InputSpec& spec,
   model.emplace<GlobalAvgPool>();
   model.emplace<Dense>(head, spec.classes, rng);
   return model;
-}
-
-QuantizedModel::QuantizedModel(Sequential model)
-    : model_(std::move(model)), name_(model_.name() + "-int8") {
-  model_.set_training(false);
-  // Artifact size: weight matrices ship as int8 + one float scale per
-  // output channel (exactly what Int8PackedB::size_mb charges per layer);
-  // every other block stays float32. The weight-matrix test mirrors
-  // quantize_model's.
-  double bytes = 0.0;
-  for (std::size_t i = 0; i < model_.layer_count(); ++i) {
-    Layer& layer = model_.layer(i);
-    const std::size_t channels = layer.output_channels();
-    std::size_t block_index = 0;
-    layer.visit_parameters([&](std::span<float> block) {
-      const bool weight_matrix =
-          block_index++ == 0 && channels > 0 && block.size() > channels &&
-          block.size() % channels == 0;
-      bytes += weight_matrix
-                   ? static_cast<double>(block.size()) + 4.0 * channels
-                   : 4.0 * static_cast<double>(block.size());
-    });
-  }
-  size_mb_ = bytes / (1024.0 * 1024.0);
-}
-
-Tensor QuantizedModel::forward(const Tensor& input) {
-  ScopedComputeBackend scoped(ComputeBackend::kGemmInt8);
-  return model_.forward(input);
-}
-
-Tensor QuantizedModel::predict_proba(const Tensor& input) {
-  ScopedComputeBackend scoped(ComputeBackend::kGemmInt8);
-  return model_.predict_proba(input);
-}
-
-std::vector<std::size_t> QuantizedModel::predict(const Tensor& input) {
-  ScopedComputeBackend scoped(ComputeBackend::kGemmInt8);
-  return model_.predict(input);
 }
 
 std::vector<Sequential> make_mnist_zoo(Rng& rng) {

@@ -41,41 +41,6 @@ Sequential make_mlp(const std::string& name, const InputSpec& spec,
 Sequential make_mobilenet_lite(const std::string& name, const InputSpec& spec,
                                double width, Rng& rng);
 
-/// Inference-only int8 twin of a float model. Owns the Sequential (moved
-/// in — clone a model you want to keep via the save_model/load_model
-/// round-trip), switches it to eval mode, and runs every forward under
-/// ComputeBackend::kGemmInt8, so Dense/Conv2D execute the quantized
-/// kernels (gemm::multiply_i8) with lazily built per-layer weight panels.
-/// This is the deployable artifact of the paper's quantization arm: same
-/// architecture, ~1/4 the transfer size, slightly degraded accuracy, and
-/// a measured (not simulated) inference-cost discount — see
-/// bench/ext_quantization.
-class QuantizedModel {
- public:
-  explicit QuantizedModel(Sequential model);
-
-  Tensor forward(const Tensor& input);
-  Tensor predict_proba(const Tensor& input);
-  std::vector<std::size_t> predict(const Tensor& input);
-
-  /// Float model name + "-int8".
-  const std::string& name() const noexcept { return name_; }
-
-  /// Deployable int8 artifact size in MB — the honest transfer size
-  /// F_{i,n}: one byte per weight-matrix entry plus one float32 scale per
-  /// output channel; biases and unchanneled blocks stay float32.
-  double size_mb() const noexcept { return size_mb_; }
-
-  /// The wrapped model (runs fp32 when called directly — only calls
-  /// through this wrapper take the int8 path).
-  Sequential& model() noexcept { return model_; }
-
- private:
-  Sequential model_;
-  std::string name_;
-  double size_mb_ = 0.0;
-};
-
 /// Six MNIST models, as in the paper's Section V-A: two CNNs, two LeNet-5
 /// variants, two MLPs.
 std::vector<Sequential> make_mnist_zoo(Rng& rng);

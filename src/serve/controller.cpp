@@ -18,6 +18,10 @@ ServeController::ServeController(const std::vector<TenantSpec>& tenants,
   if (tenants.empty()) {
     throw std::invalid_argument("ServeController: no tenants");
   }
+  if (!(market.max_volume_per_slot >= 0.0)) {
+    throw std::invalid_argument(
+        "ServeController: market cap must be a number >= 0");
+  }
   std::unordered_set<std::string> names;
   tenants_.reserve(tenants.size());
   for (const auto& spec : tenants) {

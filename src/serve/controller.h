@@ -49,7 +49,8 @@ class ServeController {
  public:
   /// Builds every tenant's environment and engine. `options` (the pool)
   /// applies to every engine. Throws std::invalid_argument on empty or
-  /// duplicate-name tenant lists.
+  /// duplicate-name tenant lists and on a negative or NaN market cap (a
+  /// NaN cap would never match itself on restore).
   ServeController(const std::vector<TenantSpec>& tenants,
                   const sim::SimOptions& options, MarketRule market = {});
 

@@ -31,6 +31,10 @@ void send_all(int fd, const char* data, std::size_t size) {
 }  // namespace
 
 MetricsServer::MetricsServer(int port) {
+  if (port < 0 || port > 65535) {
+    throw std::invalid_argument("MetricsServer: port " + std::to_string(port) +
+                                " is outside [0, 65535]");
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     throw std::runtime_error("MetricsServer: socket() failed: " +

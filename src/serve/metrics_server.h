@@ -24,8 +24,8 @@ namespace cea::serve {
 class MetricsServer {
  public:
   /// Bind 127.0.0.1:`port` (0 picks an ephemeral port) and start the
-  /// serve thread. Throws std::runtime_error when the socket cannot be
-  /// bound.
+  /// serve thread. Throws std::invalid_argument for a port outside
+  /// [0, 65535] and std::runtime_error when the socket cannot be bound.
   explicit MetricsServer(int port);
   ~MetricsServer();
 

@@ -18,9 +18,8 @@ struct SimOptions {
   /// pool. Results are bit-identical to pool == nullptr for any thread
   /// count: loss draws are keyed by (run_seed, edge, t) and per-edge
   /// partials are reduced serially in edge order. Requires policies whose
-  /// per-edge state is independent (true of all built-in policies except
-  /// the pooled-learning extension, which shares state across edges and
-  /// must run serially).
+  /// per-edge state is independent, which every built-in policy is
+  /// (ParallelEngine.EveryBuiltInComboPoolsBitIdentically).
   ///
   /// The pool also decides where the Tsallis-INF OMD solves run. A serial
   /// engine (pool == nullptr) gathers each slot's pending solves across

@@ -42,14 +42,4 @@ bool have_avx512() noexcept {
 #endif
 }
 
-bool have_avx512_vnni() noexcept {
-#if defined(__x86_64__)
-  static const bool supported = __builtin_cpu_supports("avx512vnni") != 0 &&
-                                __builtin_cpu_supports("avx512bw") != 0;
-  return supported && have_avx512();
-#else
-  return false;
-#endif
-}
-
 }  // namespace cea::util

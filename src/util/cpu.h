@@ -15,9 +15,4 @@ bool have_avx2() noexcept;
 /// allows).
 bool have_avx512() noexcept;
 
-/// True when the CPU additionally supports AVX-512 VNNI (`vpdpbusd`), the
-/// int8 dot-product extension the quantized GEMM kernel uses. Implies
-/// have_avx512(); capped by CEA_FORCE_ISA like the rest ("avx2" hides it).
-bool have_avx512_vnni() noexcept;
-
 }  // namespace cea::util

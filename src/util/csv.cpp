@@ -21,8 +21,13 @@ std::string csv_escape(std::string_view cell) {
   return out;
 }
 
-CsvWriter::CsvWriter(const std::string& path) : out_(path) {
+CsvWriter::CsvWriter(const std::string& path) : path_(path), out_(path) {
   if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
+}
+
+void CsvWriter::close() {
+  out_.close();
+  if (!out_) throw std::runtime_error("CsvWriter: cannot write " + path_);
 }
 
 void CsvWriter::write_cells(const std::vector<std::string>& cells) {

@@ -28,9 +28,15 @@ class CsvWriter {
   void write_row_exact(std::string_view label,
                        const std::vector<double>& values);
 
+  /// Flushes and closes the file; throws std::runtime_error naming the
+  /// path when a write or the close failed (e.g. a full disk). Without
+  /// it, the destructor closes the file and a failure goes unseen.
+  void close();
+
  private:
   void write_cells(const std::vector<std::string>& cells);
 
+  std::string path_;
   std::ofstream out_;
 };
 

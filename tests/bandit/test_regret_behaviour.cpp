@@ -10,7 +10,6 @@
 #include "../core/blocked_tsallis_inf.h"
 #include "bandit/policy.h"
 #include "bandit/random_policy.h"
-#include "bandit/thompson.h"
 #include "bandit/tsallis_inf.h"
 #include "bandit/ucb2.h"
 #include "util/rng.h"
@@ -80,7 +79,6 @@ INSTANTIATE_TEST_SUITE_P(
         PolicyCase{"Random", RandomPolicy::factory(), false},
         PolicyCase{"UCB2", Ucb2Policy::factory(), true},
         PolicyCase{"TsallisINF", TsallisInfPolicy::factory(), true},
-        PolicyCase{"Thompson", ThompsonSamplingPolicy::factory(), true},
         // Algorithm 1 through its per-edge test oracle, which the SoA
         // fleet matches bit for bit (core/test_blocked_tsallis_fleet.cpp).
         // The discounted variant is intentionally absent: its geometric

@@ -6,7 +6,8 @@
 # is well-formed Prometheus text carrying the tenant, SLO and journal
 # series.
 # Exit code 3 means SLO alerts fired, which the binding shared market cap
-# makes expected here.
+# makes expected here. A trace or export that cannot be written (to
+# /dev/full, where one exists) exits 2.
 #
 #   observability_smoke_test.sh SERVE_DAEMON JOURNAL_QUERY WORK_DIR
 set -eu
@@ -52,5 +53,19 @@ for mode in "" "--pooled"; do
     grep -q "^$series" metrics.prom
   done
 done
+# /dev/full accepts the open and fails the write: the daemon's trace and
+# each of journal_query's exports must report it.
+if [ -w /dev/full ]; then
+  status=0
+  "$daemon" --tenants 1 --edges 3 --slots 3 --trace-out /dev/full \
+    > /dev/null 2>&1 || status=$?
+  test "$status" -eq 2
+  for format in csv json trace; do
+    status=0
+    "$query" journal --format "$format" --out /dev/full > /dev/null 2>&1 ||
+      status=$?
+    test "$status" -eq 2
+  done
+fi
 cd /
 rm -rf "$work"

@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -92,6 +93,18 @@ TEST(ServeController, NegativeCountIsRejectedBeforeAnyTenantMoves) {
   clean.step(input.quote, input.workload);
   EXPECT_EQ(rejecting_log.lines, clean_log.lines);
   EXPECT_EQ(rejecting.checkpoint_payload(), clean.checkpoint_payload());
+}
+
+TEST(ServeController, NanOrNegativeMarketCapIsRejected) {
+  // A NaN cap would run, then fail every restore: the checkpoint's cap
+  // never compares equal to the controller's.
+  const std::vector<TenantSpec> specs = {make_spec("only", 3, 16, 5)};
+  for (double cap : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    EXPECT_THROW(ServeController(specs, sim::SimOptions{}, MarketRule{cap}),
+                 std::invalid_argument)
+        << cap;
+  }
+  EXPECT_NO_THROW(ServeController(specs, sim::SimOptions{}, MarketRule{0.0}));
 }
 
 // Peak resident set size of this process (VmHWM), in kB; 0 if unknown.

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -355,6 +356,14 @@ TEST(MetricsExposition, RestoredPageMatchesTheUninterruptedPage) {
   std::remove((ckpt + ".tmp").c_str());
   std::remove(first_page.c_str());
   std::remove(restored_page.c_str());
+}
+
+TEST(MetricsExposition, PortOutsideTheTcpRangeIsRejected) {
+  // A cast to 16 bits would bind 70000 as port 4464 and 65536 as an
+  // ephemeral port.
+  EXPECT_THROW(MetricsServer(65536), std::invalid_argument);
+  EXPECT_THROW(MetricsServer(70000), std::invalid_argument);
+  EXPECT_THROW(MetricsServer(-1), std::invalid_argument);
 }
 
 TEST(MetricsExposition, TcpEndpointServesTheLatestPage) {

@@ -102,6 +102,26 @@ TEST(ParallelEngine, PoolRunFixedBitIdenticalToSerial) {
                        parallel.run(fixed, trader, 11, "fixed"));
 }
 
+TEST(ParallelEngine, EveryBuiltInComboPoolsBitIdentically) {
+  // SimOptions::pool promises serial == pooled for every built-in policy
+  // and trader, not only Algorithm 1: the per-edge baselines run behind
+  // adapt_per_edge, and the pooled engine solves their Tsallis-INF steps
+  // inside the shards instead of in the serial presolve. 4 edges on 4
+  // participants is one edge per shard.
+  const auto env = Environment::make_parametric(small_config());
+  const Simulator serial(env);
+  util::ThreadPool pool(3);
+  const Simulator parallel(env, {.pool = &pool});
+  const auto combos = all_combos();
+  ASSERT_EQ(combos.size(), 13u);
+  for (const AlgorithmCombo& combo : combos) {
+    SCOPED_TRACE(combo.name);
+    expect_bit_identical(
+        serial.run(combo.policy, combo.trader, 13, combo.name),
+        parallel.run(combo.policy, combo.trader, 13, combo.name));
+  }
+}
+
 TEST(ParallelEngine, RepeatedPoolRunsAreDeterministic) {
   const auto env = Environment::make_parametric(small_config());
   const auto combo = ours_combo();

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -101,6 +102,21 @@ TEST_F(CsvTest, ExactRowRoundTripsEveryBit) {
 TEST(CsvWriterErrors, ThrowsOnBadPath) {
   EXPECT_THROW(CsvWriter("/nonexistent-dir-xyz/file.csv"),
                std::runtime_error);
+}
+
+TEST(CsvWriter, CloseReportsAFailedWrite) {
+  // /dev/full opens fine and fails every write with ENOSPC; the buffered
+  // row only reaches it when close() flushes.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  CsvWriter writer("/dev/full");
+  writer.write_row({"t", "cost"});
+  try {
+    writer.close();
+    ADD_FAILURE() << "close() reported success on /dev/full";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
